@@ -10,7 +10,6 @@ are exactly monotone under seed growth and safe to reuse across candidates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,73 +54,72 @@ def _directed_adjacency(g: Graph) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def _validate_seeds(g: Graph, seeds) -> list[int]:
+def _live_coins(key: tuple, m2: int, p: float) -> list[bool]:
+    # Directed edge e is live when its uniform draw from substream `key` is < p.
+    return (np.random.default_rng(key).random(m2) < p).tolist()
+
+
+def _check_seeds(g: Graph, seeds) -> list[int]:
     out = sorted({int(v) for v in seeds})
-    if not out:
-        raise ValueError("seed set must be nonempty")
-    if out[0] < 0 or out[-1] >= g.n:
+    if out and (out[0] < 0 or out[-1] >= g.n):
         raise ValueError(f"seed id out of range 0..{g.n - 1}")
     return out
 
 
-def _reach(adj, coins, seeds, active) -> int:
-    """Flood from `seeds` over live edges, marking `active`; returns new count."""
-    stack = []
-    count = 0
-    for s in seeds:
-        if not active[s]:
-            active[s] = True
-            stack.append(s)
-            count += 1
+def _reach(adj, coins, v, seen, stamp) -> int:
+    """Flood from `v` over live edges into nodes with seen < stamp; mark them
+    seen = stamp and return how many were reached."""
+    if seen[v] >= stamp:
+        return 0
+    seen[v] = stamp
+    stack = [v]
+    count = 1
     while stack:
         u = stack.pop()
-        for v, e in adj[u]:
-            if coins[e] and not active[v]:
-                active[v] = True
-                stack.append(v)
+        for w, e in adj[u]:
+            if coins[e] and seen[w] < stamp:
+                seen[w] = stamp
+                stack.append(w)
                 count += 1
     return count
 
 
-def _run_counts(g: Graph, seeds: list[int], cfg: ICConfig, workers: int) -> np.ndarray:
+def _run_counts(g: Graph, seeds: list[int], cfg: ICConfig) -> np.ndarray:
     adj = _directed_adjacency(g)
     m2 = 2 * len(g.edges)
-
-    def one(run: int) -> int:
-        coins = np.random.default_rng((cfg.master_seed, run)).random(m2) < cfg.p
-        return _reach(adj, coins, seeds, [False] * g.n)
-
     counts = np.zeros(cfg.runs, dtype=np.int64)
-    if workers <= 1:
-        for r in range(cfg.runs):
-            counts[r] = one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, c in enumerate(pool.map(one, range(cfg.runs))):
-                counts[r] = c
+    for r in range(cfg.runs):
+        coins = _live_coins((cfg.master_seed, r), m2, cfg.p)
+        seen = [0] * g.n
+        counts[r] = sum(_reach(adj, coins, s, seen, 1) for s in seeds)
     return counts
 
 
 def ic_spread(g: Graph, seeds, cfg: ICConfig, workers: int = 1) -> SpreadEstimate:
     """Monte-Carlo estimate of the expected number of activated nodes.
 
-    Run r draws from the substream (master_seed, r), so the estimate does not
-    depend on execution order or worker count.
+    Run r draws from the substream (master_seed, r); runs execute serially in
+    substream order.  `workers` is accepted for compatibility and has no effect.
     """
-    counts = _run_counts(g, _validate_seeds(g, seeds), cfg, workers)
+    seeds = _check_seeds(g, seeds)
+    if not seeds:
+        raise ValueError("seed set must be nonempty")
+    counts = _run_counts(g, seeds, cfg)
     mean = float(counts.mean())
     err = float(counts.std(ddof=1) / np.sqrt(cfg.runs)) if cfg.runs > 1 else 0.0
     return SpreadEstimate(mean_spread=mean, std_err=err, runs=cfg.runs)
 
 
 def ic_score(g: Graph, seeds, cfg: ICConfig, workers: int = 1) -> float:
-    """Mean fraction of nodes NOT reached by cascades from the seed set."""
-    seeds = sorted({int(v) for v in seeds})
+    """Mean fraction of nodes NOT reached by cascades from the seed set.
+
+    An empty seed set scores 1.0.  `workers` is accepted for compatibility and
+    has no effect.
+    """
+    seeds = _check_seeds(g, seeds)
     if not seeds:
         return 1.0
-    if seeds[0] < 0 or seeds[-1] >= g.n:
-        raise ValueError(f"seed id out of range 0..{g.n - 1}")
-    counts = _run_counts(g, seeds, cfg, workers)
+    counts = _run_counts(g, seeds, cfg)
     return float(np.mean((g.n - counts) / g.n))
 
 
@@ -134,43 +132,25 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
     """
     if not 1 <= budget <= g.n:
         raise ValueError(f"budget must be in 1..{g.n}, got {budget}")
+    n = g.n
     adj = _directed_adjacency(g)
     m2 = 2 * len(g.edges)
     chosen: list[int] = []
-    chosen_mask = [False] * g.n
-    visited = [0] * g.n
-    stamp = 0
 
     for round_idx in range(budget):
-        totals = np.zeros(g.n)
+        totals = [0] * n
         for run in range(cfg.runs):
-            coins = np.random.default_rng((cfg.master_seed, round_idx, run)).random(m2) < cfg.p
-            active = [False] * g.n
-            base = _reach(adj, coins, chosen, active) if chosen else 0
-            for v in range(g.n):
-                if chosen_mask[v]:
-                    continue
-                if active[v]:
-                    totals[v] += base
-                    continue
-                # Marginal reach: nodes already reached are closed under live
-                # edges, so the new part never needs to pass through them.
-                stamp += 1
-                visited[v] = stamp
-                stack = [v]
-                extra = 1
-                while stack:
-                    u = stack.pop()
-                    for w, e in adj[u]:
-                        if coins[e] and not active[w] and visited[w] != stamp:
-                            visited[w] = stamp
-                            stack.append(w)
-                            extra += 1
-                totals[v] += base + extra
-        masked = np.where(chosen_mask, -np.inf, totals)
-        pick = int(np.argmax(masked))  # first maximum = smallest id among ties
-        chosen.append(pick)
-        chosen_mask[pick] = True
+            coins = _live_coins((cfg.master_seed, round_idx, run), m2, cfg.p)
+            # The chosen set floods with stamp n + 1 and candidate v with v + 1:
+            # v's flood stops at the chosen set's reach (closed under live edges)
+            # and at its own visits, and earlier candidates' marks need no reset.
+            seen = [0] * n
+            base = sum(_reach(adj, coins, s, seen, n + 1) for s in chosen)
+            for v in range(n):
+                totals[v] += base + _reach(adj, coins, v, seen, v + 1)
+        masked = np.array(totals, dtype=float)
+        masked[chosen] = -np.inf
+        chosen.append(int(np.argmax(masked)))  # first maximum = smallest id among ties
     return chosen
 
 

@@ -16,20 +16,24 @@ from .spectral import Spectrum
 ROUNDOFF_BAND = 1e-10
 
 
+def _cho_factor(a: np.ndarray):
+    """Lower Cholesky factor of `a`; a failed factorization is NotPositiveDefiniteError."""
+    try:
+        return scipy.linalg.cho_factor(a, lower=True)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "kernel submatrix is not positive definite; "
+            "consider --jitter or --clamp-spectrum"
+        ) from None
+
+
 def fit_coefficients(k_w: np.ndarray, y: np.ndarray, sigma2: float = 0.0) -> np.ndarray:
     """Solve (K_W + sigma^2 I) c = y via Cholesky (no explicit inverse)."""
     k_w = np.asarray(k_w, dtype=float)
     y = np.asarray(y, dtype=float)
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    a = k_w + sigma2 * np.eye(k_w.shape[0])
-    try:
-        cho = scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "kernel submatrix is not positive definite; "
-            "consider --jitter or --clamp-spectrum"
-        ) from None
+    cho = _cho_factor(k_w + sigma2 * np.eye(k_w.shape[0]))
     return scipy.linalg.cho_solve(cho, y)
 
 
@@ -83,14 +87,7 @@ def power_direct(
     if nodes:
         k_w = kernel_matrix(spectrum, kernel, nodes, nodes)
         cross = kernel_matrix(spectrum, kernel, rows, nodes)
-        a = k_w + sigma2 * np.eye(len(nodes))
-        try:
-            cho = scipy.linalg.cho_factor(a, lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                "kernel submatrix is not positive definite; "
-                "consider --jitter or --clamp-spectrum"
-            ) from None
+        cho = _cho_factor(k_w + sigma2 * np.eye(len(nodes)))
         p2 = diag - np.sum(cross * scipy.linalg.cho_solve(cho, cross.T).T, axis=1)
         if sigma2 == 0.0:
             # At sampled nodes the cross-covariance is a column of K_W, so the

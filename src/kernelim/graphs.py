@@ -144,6 +144,8 @@ def _parse_json_graph(text: str) -> Graph:
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise GraphFormatError("graph JSON must be an object with 'nodes' and 'edges'")
     nodes = doc["nodes"]
+    _check_records(nodes, "node", ("id",))
+    _check_records(doc["edges"], "edge", ("u", "v"))
     n = len(nodes)
     ids = sorted(int(m["id"]) for m in nodes)
     if ids != list(range(n)):
@@ -155,7 +157,10 @@ def _parse_json_graph(text: str) -> Graph:
             raise GraphFormatError("either every node or no node may carry a position")
         positions = np.zeros((n, 2))
         for m in nodes:
-            positions[int(m["id"])] = [float(m["pos"][0]), float(m["pos"][1])]
+            pos = m["pos"]
+            if not isinstance(pos, list) or len(pos) != 2:
+                raise GraphFormatError(f"node {m['id']}: 'pos' must be a pair [x, y]")
+            positions[int(m["id"])] = [float(pos[0]), float(pos[1])]
     labels = None
     if any("label" in m for m in nodes):
         labels = [""] * n
@@ -166,6 +171,15 @@ def _parse_json_graph(text: str) -> Graph:
         (int(e["u"]), int(e["v"]), float(e.get("w", 1.0))) for e in doc["edges"]
     )
     return Graph(n=n, edges=edges, positions=positions, labels=labels)
+
+
+def _check_records(records, kind: str, keys: tuple[str, ...]) -> None:
+    if not isinstance(records, list):
+        raise GraphFormatError(f"graph JSON '{kind}s' must be an array")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or any(not isinstance(rec.get(k), (int, str)) for k in keys):
+            fields = " and ".join(repr(k) for k in keys)
+            raise GraphFormatError(f"{kind} record {i} must be an object with integer {fields}")
 
 
 def load_graph(path, fmt: str | None = None) -> Graph:
@@ -246,6 +260,9 @@ def generate_points_graph(
         raise GraphFormatError("points must be an (m, 2) array")
     if pts.shape[0] == 0:
         raise GraphFormatError("no points left after thinning (empty input)")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise GraphFormatError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
 
     kept: list[int] = []
     for i in range(pts.shape[0]):

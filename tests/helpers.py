@@ -2,10 +2,13 @@
 
 Oracles here deliberately avoid the library's own code paths (union-find for
 components, truncated Taylor for the matrix exponential, dense linear solves
-for PageRank and posterior variance).
+for PageRank and posterior variance, scipy.sparse.csgraph search for
+Independent Cascade reach).
 """
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from kernelim import Graph, laplacian
 
@@ -118,3 +121,27 @@ def pagerank_oracle(g: Graph, damping: float) -> np.ndarray:
         m[i] = a[i] / deg[i] if deg[i] > 0 else 1.0 / g.n
     x = np.linalg.solve(np.eye(g.n) - damping * m.T, np.full(g.n, (1 - damping) / g.n))
     return x / x.sum()
+
+
+def ic_live_digraph(g: Graph, p: float, key) -> scipy.sparse.csr_matrix:
+    """Live-edge digraph of one IC sample as a sparse matrix.
+
+    Edge j = (u, v) gives arcs 2j (u->v) and 2j+1 (v->u); arc a is live when
+    draw a of default_rng(key).random(2m) is below p.
+    """
+    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=int).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    src = np.column_stack([u, v]).ravel()
+    dst = np.column_stack([v, u]).ravel()
+    live = np.random.default_rng(key).random(len(src)) < p
+    data = np.ones(int(live.sum()))
+    return scipy.sparse.csr_matrix((data, (src[live], dst[live])), shape=(g.n, g.n))
+
+
+def ic_reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> int:
+    """Number of nodes reachable from any seed, by breadth-first search."""
+    reached = set()
+    for s in seeds:
+        order = breadth_first_order(live, s, directed=True, return_predecessors=False)
+        reached.update(order.tolist())
+    return len(reached)

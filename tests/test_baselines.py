@@ -13,7 +13,13 @@ from kernelim import (
 from kernelim.baselines import _run_counts
 from kernelim.errors import ConvergenceError
 
-from helpers import component_of, pagerank_oracle, random_connected_graph
+from helpers import (
+    component_of,
+    ic_live_digraph,
+    ic_reach_oracle,
+    pagerank_oracle,
+    random_connected_graph,
+)
 
 
 def two_components_graph():
@@ -64,9 +70,19 @@ def test_spread_monotone_under_shared_streams():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 30)
     cfg = ICConfig(p=0.2, runs=200, master_seed=13)
-    small = _run_counts(g, [3], cfg, workers=1)
-    large = _run_counts(g, [3, 8, 21], cfg, workers=1)
+    small = _run_counts(g, [3], cfg)
+    large = _run_counts(g, [3, 8, 21], cfg)
     assert np.all(large >= small)  # exact per-run monotonicity
+
+
+def test_run_counts_match_sparse_oracle():
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(rng, 30)
+    cfg = ICConfig(p=0.2, runs=100, master_seed=19)
+    seeds = [3, 8, 21]
+    expected = [ic_reach_oracle(ic_live_digraph(g, cfg.p, (cfg.master_seed, r)), seeds)
+                for r in range(cfg.runs)]
+    assert _run_counts(g, seeds, cfg).tolist() == expected
 
 
 def test_spread_validation(star4):
@@ -114,6 +130,21 @@ def test_greedy_deterministic():
     g = random_connected_graph(rng, 20)
     cfg = ICConfig(p=0.2, runs=100, master_seed=5)
     assert ic_greedy_select(g, 4, cfg) == ic_greedy_select(g, 4, cfg)
+
+
+def test_greedy_matches_brute_force_oracle():
+    rng = np.random.default_rng(9)
+    g = random_connected_graph(rng, 12)
+    cfg = ICConfig(p=0.3, runs=40, master_seed=23)
+    budget = 3
+    chosen = []
+    for round_idx in range(budget):
+        samples = [ic_live_digraph(g, cfg.p, (cfg.master_seed, round_idx, run))
+                   for run in range(cfg.runs)]
+        totals = {v: sum(ic_reach_oracle(live, chosen + [v]) for live in samples)
+                  for v in range(g.n) if v not in chosen}
+        chosen.append(max(totals, key=lambda v: (totals[v], -v)))
+    assert ic_greedy_select(g, budget, cfg) == chosen
 
 
 def test_greedy_budget_validation(star4):

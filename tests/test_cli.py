@@ -121,6 +121,21 @@ def test_spectrum_path3(tmp_path):
     assert np.allclose(values, [0.0, 1.0, 3.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("doc", [
+    {"nodes": 3, "edges": []},
+    {"nodes": [{"id": 0}, {}], "edges": []},
+    {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]},
+    {"nodes": [{"id": 0, "pos": [0.0]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
+], ids=["nodes-not-array", "node-without-id", "edge-without-v", "short-pos"])
+def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc):
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps(doc))
+    assert main(["spectrum", "--graph", str(graph), "-o", str(tmp_path / "eig.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kernelim: error:")
+    assert "Traceback" not in err
+
+
 def test_spectrum_vectors_dump(tmp_path, sensor_graph):
     out = tmp_path / "eig.csv"
     vecs = tmp_path / "u.csv"

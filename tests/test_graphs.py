@@ -149,6 +149,15 @@ def test_generator_empty_input_rejected():
         generate_points_graph(count=0, seed=1, thin_radius=0.1, link_radius=0.2)
 
 
+@pytest.mark.parametrize("bad", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_generator_non_finite_point_rejected(bad, value):
+    pts = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
+    pts[bad, 1] = value
+    with pytest.raises(GraphFormatError, match=f"point {bad} "):
+        generate_points_graph(points=pts, thin_radius=0.05, link_radius=0.2)
+
+
 def test_sensor79_golden_fixture():
     g = generate_points_graph(
         count=79, seed=SENSOR79_SEED, thin_radius=0.0, link_radius=SENSOR79_LINK_RADIUS
