@@ -160,7 +160,7 @@ def _parse_json_graph(text: str) -> Graph:
             pos = m["pos"]
             if not isinstance(pos, list) or len(pos) != 2:
                 raise GraphFormatError(f"node {m['id']}: 'pos' must be a pair [x, y]")
-            positions[int(m["id"])] = [float(pos[0]), float(pos[1])]
+            positions[int(m["id"])] = [_json_number(c, f"node {m['id']}: 'pos' entry") for c in pos]
     labels = None
     if any("label" in m for m in nodes):
         labels = [""] * n
@@ -168,9 +168,20 @@ def _parse_json_graph(text: str) -> Graph:
             labels[int(m["id"])] = str(m.get("label", m["id"]))
         labels = tuple(labels)
     edges = tuple(
-        (int(e["u"]), int(e["v"]), float(e.get("w", 1.0))) for e in doc["edges"]
+        (int(e["u"]), int(e["v"]), _json_number(e.get("w", 1.0), f"edge record {i}: weight"))
+        for i, e in enumerate(doc["edges"])
     )
     return Graph(n=n, edges=edges, positions=positions, labels=labels)
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number, or a string holding one, as a float."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise GraphFormatError(f"{what} {json.dumps(value)} is not a number")
 
 
 def _check_records(records, kind: str, keys: tuple[str, ...]) -> None:
@@ -264,19 +275,19 @@ def generate_points_graph(
     if not finite.all():
         raise GraphFormatError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
 
-    kept: list[int] = []
-    for i in range(pts.shape[0]):
-        if all(math.dist(pts[i], pts[j]) >= thin_radius for j in kept):
-            kept.append(i)
-    surv = pts[kept]
-    m = surv.shape[0]
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    for i, p in enumerate(pts):
+        keep[i] = np.all(_distances(p[None], pts[keep]) >= thin_radius)
+    surv = pts[keep]
 
-    diff = surv[:, None, :] - surv[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    edges = tuple(
-        (i, j, 1.0) for i in range(m) for j in range(i + 1, m) if dist[i, j] <= link_radius
-    )
-    return Graph(n=m, edges=edges, positions=surv)
+    rows, cols = np.nonzero(np.triu(_distances(surv, surv) <= link_radius, 1))
+    edges = tuple((i, j, 1.0) for i, j in zip(rows.tolist(), cols.tolist()))
+    return Graph(n=surv.shape[0], edges=edges, positions=surv)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows; thinning and linking both use this formula."""
+    return np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
 
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:

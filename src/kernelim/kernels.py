@@ -76,6 +76,10 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
             raise KernelSpecError(
                 f"custom coefficients have length {coeff.shape[0]}, expected {lam.shape[0]}"
             )
+        bad = ~np.isfinite(coeff)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise KernelSpecError(f"custom coefficient {i} is not finite ({coeff[i]})")
     else:
         raise KernelSpecError(f"unknown kernel family {family!r}")
     if not np.all(np.isfinite(coeff)):
@@ -147,8 +151,7 @@ def kernel_column(spectrum: Spectrum, kernel: GbfKernel, w: int) -> np.ndarray:
     """Column w of the full kernel matrix, without materializing the matrix."""
     if not 0 <= w < spectrum.n:
         raise ValueError(f"node id {w} out of range 0..{spectrum.n - 1}")
-    u = spectrum.eigenvectors
-    return (u * kernel.coefficients) @ u[w]
+    return spectrum.eigenvectors @ (kernel.coefficients * spectrum.eigenvectors[w])
 
 
 def kernel_diag(spectrum: Spectrum, kernel: GbfKernel) -> np.ndarray:

@@ -145,11 +145,10 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
     for w in config.initial:
         power_update_step(state, spectrum, kernel, w)
 
-    unchosen = np.ones(spectrum.n, dtype=bool)
-    unchosen[list(state.chosen)] = False
+    # Chosen nodes hold p2 = 0 exactly and a step needs best >= tolerance > 0,
+    # so the argmax never lands on a chosen node.
     while len(state.chosen) - len(config.initial) < config.budget:
-        masked = np.where(unchosen, state.p2, -np.inf)
-        best = float(masked.max())
+        best = float(state.p2.max())
         if best < config.tolerance:
             state.stop_reason = "power-tolerance"
             return state
@@ -159,8 +158,7 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
         if best <= state.pivot_guard:
             state.stop_reason = "numerical-exhaustion"
             return state
-        w = int(np.argmax(masked))  # first maximum = smallest id among ties
+        w = int(np.argmax(state.p2))  # first maximum = smallest id among ties
         power_update_step(state, spectrum, kernel, w)
-        unchosen[w] = False
     state.stop_reason = "budget"
     return state

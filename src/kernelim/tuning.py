@@ -87,15 +87,15 @@ def _cv_error_folds(spectrum, family, params, spec, folds, target, jitter):
         return None
     if not kern.is_positive_definite:
         return None
+    k = kernel_matrix(spectrum, kern)
     errors = []
     for fold in folds:
         train = np.setdiff1d(np.arange(spectrum.n), fold)
-        k_w = kernel_matrix(spectrum, kern, train, train)
         try:
-            coeff = fit_coefficients(k_w, target[train], sigma2=jitter)
+            coeff = fit_coefficients(k[np.ix_(train, train)], target[train], sigma2=jitter)
         except NotPositiveDefiniteError:
             return None
-        pred = kernel_matrix(spectrum, kern, None, train) @ coeff
+        pred = k[:, train] @ coeff
         resid = target - pred
         err = float(np.mean(np.abs(resid))) if spec.metric == "mae" else float(
             np.sqrt(np.mean(resid**2))

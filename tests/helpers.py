@@ -2,8 +2,8 @@
 
 Oracles here deliberately avoid the library's own code paths (union-find for
 components, truncated Taylor for the matrix exponential, dense linear solves
-for PageRank and posterior variance, scipy.sparse.csgraph search for
-Independent Cascade reach).
+for PageRank, posterior variance and cross-validation, scipy.sparse.csgraph
+search for Independent Cascade reach).
 """
 
 import numpy as np
@@ -110,6 +110,19 @@ def power_oracle(spectrum, kernel, sampling_set):
     cross = full[:, nodes]
     quad = np.sum(cross * np.linalg.solve(sub, cross.T).T, axis=1)
     return np.sqrt(np.maximum(np.diag(full) - quad, 0.0))
+
+
+def cv_oracle(spectrum, coefficients, folds, target, metric, jitter=0.0):
+    """Mean k-fold error from the dense kernel U diag(f) U^T and np.linalg.solve."""
+    u = spectrum.eigenvectors
+    k = u @ np.diag(coefficients) @ u.T
+    errors = []
+    for fold in folds:
+        train = np.setdiff1d(np.arange(len(target)), fold)
+        a = k[np.ix_(train, train)] + jitter * np.eye(len(train))
+        resid = target - k[:, train] @ np.linalg.solve(a, target[train])
+        errors.append(np.mean(np.abs(resid)) if metric == "mae" else np.sqrt(np.mean(resid**2)))
+    return float(np.mean(errors))
 
 
 def pagerank_oracle(g: Graph, damping: float) -> np.ndarray:

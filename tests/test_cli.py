@@ -126,7 +126,11 @@ def test_spectrum_path3(tmp_path):
     {"nodes": [{"id": 0}, {}], "edges": []},
     {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]},
     {"nodes": [{"id": 0, "pos": [0.0]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
-], ids=["nodes-not-array", "node-without-id", "edge-without-v", "short-pos"])
+    {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": None}]},
+    {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": [1]}]},
+    {"nodes": [{"id": 0, "pos": [0, None]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
+], ids=["nodes-not-array", "node-without-id", "edge-without-v", "short-pos",
+        "null-weight", "list-weight", "null-pos-entry"])
 def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc):
     graph = tmp_path / "bad.json"
     graph.write_text(json.dumps(doc))
@@ -134,6 +138,17 @@ def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert err.startswith("kernelim: error:")
     assert "Traceback" not in err
+
+
+def test_select_non_finite_custom_coefficient_exits_1(tmp_path, capsys, sensor_graph):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("1.0\n" * 7 + "nan\n" + "1.0\n" * 22)
+    code = main(["select", "--graph", str(sensor_graph), "--kernel", f"custom:file={coeffs}",
+                 "--budget", "2", "-o", str(tmp_path / "sel.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kernelim: error:")
+    assert "coefficient 7 is not finite" in err
 
 
 def test_spectrum_vectors_dump(tmp_path, sensor_graph):

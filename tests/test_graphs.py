@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelim import (
     Graph,
@@ -168,6 +172,62 @@ def test_sensor79_golden_fixture():
     # all weights 1.0, positions retained
     assert all(w == 1.0 for _, _, w in g.edges)
     assert np.array_equal(g.positions, uniform_points(79, SENSOR79_SEED))
+
+
+@pytest.mark.parametrize("kwargs,nodes,edges,digest", [
+    (dict(count=500, seed=7, link_radius=0.08), 500, 2317,
+     "39e3b00dbf6d6002f2121bc0dd9ec2f7990a0a3018d3c7c796c7bc15ebf4b7af"),
+    (dict(points=np.random.default_rng(5).random((400, 2)), thin_radius=0.03, link_radius=0.1),
+     248, 785, "46a0d03789aca86a331d579f4a2f819e36cf2e2391d13168a605a0bb122852ea"),
+], ids=["count500", "thinned400"])
+def test_generator_golden_hash(kwargs, nodes, edges, digest):
+    g = generate_points_graph(**kwargs)
+    assert (g.n, g.edge_count, graph_hash(g)) == (nodes, edges, digest)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(valid):
+    # Valid seven times in eight, so most documents get past the earlier checks.
+    return st.integers(0, 7).flatmap(lambda k: _JSON_VALUES if k == 7 else valid)
+
+
+_POS = _mostly(st.lists(_mostly(st.floats(-2, 2)), min_size=2, max_size=2))
+
+
+def _nodes(n, with_pos):
+    return st.tuples(*(
+        st.fixed_dictionaries(
+            {"id": _mostly(st.sampled_from([i, str(i)])), **({"pos": _POS} if with_pos else {})},
+            optional={"label": _JSON_VALUES},
+        )
+        for i in range(n)
+    )).map(list)
+
+
+_NODE_ID = _mostly(st.integers(0, 3))
+_EDGE = st.fixed_dictionaries({"u": _NODE_ID, "v": _NODE_ID}, optional={"w": _mostly(st.floats(0.1, 2))})
+_GRAPH_DOC = _mostly(st.fixed_dictionaries({
+    "nodes": _mostly(st.tuples(st.integers(1, 4), st.booleans()).flatmap(lambda a: _nodes(*a))),
+    "edges": _mostly(st.lists(_EDGE, max_size=4)),
+}))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=_GRAPH_DOC)
+def test_load_graph_json_fails_only_with_input_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(doc))
+    try:
+        g = load_graph(path)
+    except (GraphFormatError, ValueError):
+        return  # the two error types the CLI maps to exit 1
+    assert isinstance(g, Graph)
 
 
 def test_laplacian_two_node_both_kinds(two_node):

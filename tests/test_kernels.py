@@ -8,6 +8,7 @@ from kernelim import (
     eigendecompose,
     gft,
     is_positive_definite,
+    kernel_column,
     kernel_diag,
     kernel_matrix,
     laplacian,
@@ -115,6 +116,18 @@ def test_kernel_matrix_matches_dense_construction():
     kern = spline_kernel(s, eps=0.3, s=2.0)
     dense = s.eigenvectors @ np.diag(kern.coefficients) @ s.eigenvectors.T
     assert np.abs(kernel_matrix(s, kern) - dense).max() <= 1e-9
+
+
+def test_kernel_column_matches_kernel_matrix():
+    rng = np.random.default_rng(29)
+    s = eigendecompose(laplacian(random_connected_graph(rng, 60, unit_spectral=True)))
+    kern = diffusion_kernel(s, -3.0)
+    scale = np.abs(kernel_matrix(s, kern)).max()
+    for w in range(s.n):
+        col = kernel_column(s, kern, w)
+        assert np.abs(col - kernel_matrix(s, kern, None, [w])[:, 0]).max() <= 1e-12 * scale
+    with pytest.raises(ValueError, match="out of range"):
+        kernel_column(s, kern, s.n)
 
 
 def test_kernel_matrix_submatrix_consistency(path3_spectrum):

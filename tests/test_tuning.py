@@ -12,7 +12,7 @@ from kernelim import (
 )
 from kernelim.errors import KernelimError
 
-from helpers import random_connected_graph
+from helpers import cv_oracle, random_connected_graph
 
 
 def test_log_grid_wide_eps_interval():
@@ -146,3 +146,20 @@ def test_cv_metric_rmse(two_node_spectrum):
     params = {"eps": 1.0, "s": 1.0}
     assert abs(cv_error(two_node_spectrum, "spline", params, mae_spec) - 0.25) <= 1e-12
     assert abs(cv_error(two_node_spectrum, "spline", params, rmse_spec) - np.sqrt(0.125)) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", ["mae", "rmse"])
+@pytest.mark.parametrize("jitter", [0.0, 1e-3])
+@pytest.mark.parametrize("family,params", [
+    ("diffusion", {"t": -2.0}),
+    ("spline", {"eps": 0.5, "s": 1.0}),
+])
+def test_cv_error_matches_dense_oracle(metric, jitter, family, params):
+    rng = np.random.default_rng(8)
+    s = eigendecompose(laplacian(random_connected_graph(rng, 40, unit_spectral=True)))
+    target = rng.standard_normal(s.n)
+    spec = CvSpec(folds=5, seed=2, grids={}, target=target, metric=metric)
+    lam = s.eigenvalues
+    coeff = np.exp(2.0 * lam) if family == "diffusion" else 1.0 / (0.5 + lam)
+    want = cv_oracle(s, coeff, kfold_partition(s.n, 5, 2), target, metric, jitter)
+    assert abs(cv_error(s, family, params, spec, jitter=jitter) - want) <= 1e-9 * want
