@@ -11,6 +11,7 @@ are exactly monotone under seed growth and safe to reuse across candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -66,22 +67,74 @@ def _check_seeds(g: Graph, seeds) -> list[int]:
     return out
 
 
-def _reach(adj, coins, v, seen, stamp) -> int:
-    """Flood from `v` over live edges into nodes with seen < stamp; mark them
-    seen = stamp and return how many were reached."""
-    if seen[v] >= stamp:
+def _reach(adj, coins, v, seen) -> int:
+    """Flood from `v` over live edges into unseen nodes; mark them seen and
+    return how many were reached."""
+    if seen[v]:
         return 0
-    seen[v] = stamp
+    seen[v] = True
     stack = [v]
     count = 1
     while stack:
         u = stack.pop()
         for w, e in adj[u]:
-            if coins[e] and seen[w] < stamp:
-                seen[w] = stamp
+            if coins[e] and not seen[w]:
+                seen[w] = True
                 stack.append(w)
                 count += 1
     return count
+
+
+def _reach_masks(succ: list[list[int]]) -> list[int]:
+    """Bitmask of the nodes reachable from each node (itself included) along
+    the arcs `succ`, built once per strongly connected component.
+
+    Iterative Tarjan: a component closes only after every component it reaches
+    has closed, so its mask is its members OR the finished masks of their
+    successors, and every member shares it.  A node is still on the Tarjan
+    stack exactly when it has been visited and its mask is 0.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    reach = [0] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if not reach[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    members = []
+                    mask = 0
+                    u = -1
+                    while u != v:
+                        u = stack.pop()
+                        members.append(u)
+                        mask |= 1 << u
+                        for w in succ[u]:
+                            mask |= reach[w]  # 0 inside this component, final outside
+                    for u in members:
+                        reach[u] = mask
+    return reach
 
 
 def _run_counts(g: Graph, seeds: list[int], cfg: ICConfig) -> np.ndarray:
@@ -90,8 +143,8 @@ def _run_counts(g: Graph, seeds: list[int], cfg: ICConfig) -> np.ndarray:
     counts = np.zeros(cfg.runs, dtype=np.int64)
     for r in range(cfg.runs):
         coins = _live_coins((cfg.master_seed, r), m2, cfg.p)
-        seen = [0] * g.n
-        counts[r] = sum(_reach(adj, coins, s, seen, 1) for s in seeds)
+        seen = [False] * g.n
+        counts[r] = sum(_reach(adj, coins, s, seen) for s in seeds)
     return counts
 
 
@@ -128,26 +181,31 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
 
     Each round evaluates every remaining candidate on the same `runs` live-edge
     samples (common random numbers, substreams (master_seed, round, run)), then
-    keeps the node with the largest mean spread, ties to the smallest id.
+    keeps the node with the largest mean spread, ties to the smallest id.  A
+    sample's spread from chosen + [v] is the exact count of the union of their
+    reach sets, taken from one reachability pass over the sample.
     """
     if not 1 <= budget <= g.n:
         raise ValueError(f"budget must be in 1..{g.n}, got {budget}")
     n = g.n
-    adj = _directed_adjacency(g)
-    m2 = 2 * len(g.edges)
+    # Arc 2j is u->v and arc 2j+1 is v->u of edge j, as in _directed_adjacency.
+    arcs = [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
     chosen: list[int] = []
 
     for round_idx in range(budget):
         totals = [0] * n
         for run in range(cfg.runs):
-            coins = _live_coins((cfg.master_seed, round_idx, run), m2, cfg.p)
-            # The chosen set floods with stamp n + 1 and candidate v with v + 1:
-            # v's flood stops at the chosen set's reach (closed under live edges)
-            # and at its own visits, and earlier candidates' marks need no reset.
-            seen = [0] * n
-            base = sum(_reach(adj, coins, s, seen, n + 1) for s in chosen)
+            coins = _live_coins((cfg.master_seed, round_idx, run), len(arcs), cfg.p)
+            succ: list[list[int]] = [[] for _ in range(n)]
+            for u, w in compress(arcs, coins):
+                succ[u].append(w)
+            reach = _reach_masks(succ)
+            base = 0
+            for s in chosen:
+                base |= reach[s]
+            size, outside = base.bit_count(), ~base
             for v in range(n):
-                totals[v] += base + _reach(adj, coins, v, seen, v + 1)
+                totals[v] += size + (reach[v] & outside).bit_count()
         masked = np.array(totals, dtype=float)
         masked[chosen] = -np.inf
         chosen.append(int(np.argmax(masked)))  # first maximum = smallest id among ties

@@ -147,8 +147,8 @@ def _parse_json_graph(text: str) -> Graph:
     _check_records(nodes, "node", ("id",))
     _check_records(doc["edges"], "edge", ("u", "v"))
     n = len(nodes)
-    ids = sorted(int(m["id"]) for m in nodes)
-    if ids != list(range(n)):
+    ids = [_json_int(m["id"], f"node record {i}: id") for i, m in enumerate(nodes)]
+    if sorted(ids) != list(range(n)):
         raise GraphFormatError("node ids must be the contiguous integers 0..n-1")
     with_pos = [m for m in nodes if m.get("pos") is not None]
     positions = None
@@ -156,32 +156,45 @@ def _parse_json_graph(text: str) -> Graph:
         if len(with_pos) != n:
             raise GraphFormatError("either every node or no node may carry a position")
         positions = np.zeros((n, 2))
-        for m in nodes:
+        for v, m in zip(ids, nodes):
             pos = m["pos"]
             if not isinstance(pos, list) or len(pos) != 2:
-                raise GraphFormatError(f"node {m['id']}: 'pos' must be a pair [x, y]")
-            positions[int(m["id"])] = [_json_number(c, f"node {m['id']}: 'pos' entry") for c in pos]
+                raise GraphFormatError(f"node {v}: 'pos' must be a pair [x, y]")
+            positions[v] = [_json_number(c, f"node {v}: 'pos' entry") for c in pos]
     labels = None
     if any("label" in m for m in nodes):
         labels = [""] * n
-        for m in nodes:
-            labels[int(m["id"])] = str(m.get("label", m["id"]))
+        for v, m in zip(ids, nodes):
+            labels[v] = str(m.get("label", m["id"]))
         labels = tuple(labels)
     edges = tuple(
-        (int(e["u"]), int(e["v"]), _json_number(e.get("w", 1.0), f"edge record {i}: weight"))
+        (
+            _json_int(e["u"], f"edge record {i}: u"),
+            _json_int(e["v"], f"edge record {i}: v"),
+            _json_number(e.get("w", 1.0), f"edge record {i}: weight"),
+        )
         for i, e in enumerate(doc["edges"])
     )
     return Graph(n=n, edges=edges, positions=positions, labels=labels)
 
 
 def _json_number(value, what: str) -> float:
-    """A JSON number, or a string holding one, as a float."""
+    """A finite JSON number, or a string holding one, as a float."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
+            if math.isfinite(out := float(value)):
+                return out
         except (ValueError, OverflowError):
             pass
-    raise GraphFormatError(f"{what} {json.dumps(value)} is not a number")
+    raise GraphFormatError(f"{what} {json.dumps(value)} is not a finite number")
+
+
+def _json_int(value, what: str) -> int:
+    """An integer or a string holding one (`_check_records` admits only these)."""
+    try:
+        return int(value)
+    except ValueError:
+        raise GraphFormatError(f"{what} {value!r} is not an integer") from None
 
 
 def _check_records(records, kind: str, keys: tuple[str, ...]) -> None:

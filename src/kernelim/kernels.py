@@ -54,11 +54,11 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if family == DIFFUSION:
-        t = float(params["t"])
+        t = _finite_param(params, "t")
         with np.errstate(over="ignore"):
             coeff = np.exp(-t * lam)
     elif family == SPLINE:
-        eps, s = float(params["eps"]), float(params["s"])
+        eps, s = _finite_param(params, "eps"), _finite_param(params, "s")
         base = eps + lam
         if np.any(base == 0.0):
             raise SplineSingularityError(
@@ -87,6 +87,13 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
             f"{family} coefficients overflowed for params {params}"
         )
     return coeff
+
+
+def _finite_param(params: dict, key: str) -> float:
+    value = float(params[key])
+    if not np.isfinite(value):
+        raise KernelSpecError(f"kernel parameter {key}={value} is not finite")
+    return value
 
 
 def build_kernel(family: str, params: dict, spectrum: Spectrum) -> GbfKernel:
@@ -177,7 +184,10 @@ def _parse_params(body: str, spec: str) -> dict:
         if "=" not in part:
             raise KernelSpecError(f"bad kernel spec {spec!r}: expected key=value, got {part!r}")
         key, _, value = part.partition("=")
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise KernelSpecError(f"bad kernel spec {spec!r}: repeated key {key!r}")
+        params[key] = value.strip()
     return params
 
 

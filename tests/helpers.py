@@ -151,10 +151,15 @@ def ic_live_digraph(g: Graph, p: float, key) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((data, (src[live], dst[live])), shape=(g.n, g.n))
 
 
-def ic_reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> int:
-    """Number of nodes reachable from any seed, by breadth-first search."""
+def reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> set:
+    """Nodes reachable from any seed, by breadth-first search."""
     reached = set()
     for s in seeds:
         order = breadth_first_order(live, s, directed=True, return_predecessors=False)
         reached.update(order.tolist())
-    return len(reached)
+    return reached
+
+
+def ic_reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> int:
+    """Number of nodes reachable from any seed, by breadth-first search."""
+    return len(reach_oracle(live, seeds))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from kernelim import (
     Graph,
@@ -10,7 +11,7 @@ from kernelim import (
     pagerank,
     pagerank_top_n,
 )
-from kernelim.baselines import _run_counts
+from kernelim.baselines import _reach_masks, _run_counts
 from kernelim.errors import ConvergenceError
 
 from helpers import (
@@ -19,6 +20,7 @@ from helpers import (
     ic_reach_oracle,
     pagerank_oracle,
     random_connected_graph,
+    reach_oracle,
 )
 
 
@@ -132,11 +134,20 @@ def test_greedy_deterministic():
     assert ic_greedy_select(g, 4, cfg) == ic_greedy_select(g, 4, cfg)
 
 
-def test_greedy_matches_brute_force_oracle():
-    rng = np.random.default_rng(9)
-    g = random_connected_graph(rng, 12)
-    cfg = ICConfig(p=0.3, runs=40, master_seed=23)
-    budget = 3
+@pytest.mark.parametrize("graph, p, budget", [
+    ("random12", 0.0, 3),    # every live-edge sample is all singleton components
+    ("random12", 0.3, 3),
+    ("random12", 1.0, 3),    # one component per connected component
+    ("two-components", 0.3, 3),
+    ("two-components", 1.0, 8),  # budget n: every round ends in a tie
+    ("random12", 0.3, 12),
+], ids=["p0", "p0.3", "p1", "two-components", "budget-n", "budget-n-p0.3"])
+def test_greedy_matches_brute_force_oracle(graph, p, budget):
+    if graph == "two-components":
+        g = two_components_graph()
+    else:
+        g = random_connected_graph(np.random.default_rng(9), 12)
+    cfg = ICConfig(p=p, runs=40, master_seed=23)
     chosen = []
     for round_idx in range(budget):
         samples = [ic_live_digraph(g, cfg.p, (cfg.master_seed, round_idx, run))
@@ -145,6 +156,46 @@ def test_greedy_matches_brute_force_oracle():
                   for v in range(g.n) if v not in chosen}
         chosen.append(max(totals, key=lambda v: (totals[v], -v)))
     assert ic_greedy_select(g, budget, cfg) == chosen
+
+
+def _random_arcs(rng, n, q):
+    return [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < q]
+
+
+def _digraph_cases():
+    rng = np.random.default_rng(31)
+    perm = rng.permutation(40).tolist()
+    return {
+        "random-sparse": (40, _random_arcs(rng, 40, 0.03)),
+        "random-mixed": (60, _random_arcs(rng, 60, 0.05)),
+        "random-dense": (30, _random_arcs(rng, 30, 0.2)),
+        # one 40-cycle, a tail leaving it and an arc back in; 42..44, 46..49 isolated
+        "long-cycle": (50, [(i, (i + 1) % 40) for i in range(40)] + [(39, 40), (40, 41), (45, 5)]),
+        # {0..5} (a 6-cycle around the 3-cycle 1-2-3) reaches {6,7,8} by two arcs and
+        # {9,10} directly and through {6,7,8}; {11,12} reaches {0..5}; the chain
+        # 15->16->17 enters {6,7,8}; 13 and 14 are isolated
+        "nested-sccs": (18, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (3, 1),
+                             (5, 6), (2, 7), (6, 7), (7, 8), (8, 6), (8, 9), (9, 10),
+                             (10, 9), (0, 10), (11, 12), (12, 11), (12, 0),
+                             (15, 16), (16, 17), (17, 6)]),
+        "isolated-only": (5, []),
+        # a Hamiltonian cycle in shuffled order plus chords: one component
+        "single-scc": (40, [(perm[i], perm[(i + 1) % 40]) for i in range(40)]
+                       + _random_arcs(rng, 40, 0.05)),
+        "deep-path": (1200, [(i, i + 1) for i in range(1199)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_digraph_cases()))
+def test_reach_masks_match_sparse_oracle(case):
+    n, arcs = _digraph_cases()[case]
+    succ = [[] for _ in range(n)]
+    for u, v in arcs:
+        succ[u].append(v)
+    ends = np.array(arcs, dtype=int).reshape(-1, 2)
+    live = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    expected = [sum(1 << w for w in reach_oracle(live, [v])) for v in range(n)]
+    assert _reach_masks(succ) == expected
 
 
 def test_greedy_budget_validation(star4):

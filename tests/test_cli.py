@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -121,23 +122,50 @@ def test_spectrum_path3(tmp_path):
     assert np.allclose(values, [0.0, 1.0, 3.0], atol=1e-10)
 
 
-@pytest.mark.parametrize("doc", [
-    {"nodes": 3, "edges": []},
-    {"nodes": [{"id": 0}, {}], "edges": []},
-    {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]},
-    {"nodes": [{"id": 0, "pos": [0.0]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
-    {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": None}]},
-    {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": [1]}]},
-    {"nodes": [{"id": 0, "pos": [0, None]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": 3, "edges": []}, "graph JSON 'nodes' must be an array"),
+    ({"nodes": [{"id": 0}, {}], "edges": []}, "node record 1 must be an object with integer 'id'"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]}, "edge record 0 must be an object"),
+    ({"nodes": [{"id": 0, "pos": [0.0]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
+     "node 0: 'pos' must be a pair"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": None}]},
+     "edge record 0: weight null is not a finite number"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": [1]}]},
+     "edge record 0: weight [1] is not a finite number"),
+    ({"nodes": [{"id": 0, "pos": [0, None]}, {"id": 1, "pos": [1.0, 1.0]}], "edges": [{"u": 0, "v": 1}]},
+     "node 0: 'pos' entry null is not a finite number"),
+    ({"nodes": [{"id": 0, "pos": [0, float("nan")]}, {"id": 1, "pos": [1, 1]}], "edges": [{"u": 0, "v": 1}]},
+     "node 0: 'pos' entry NaN is not a finite number"),
+    ({"nodes": [{"id": "a"}, {"id": 1}], "edges": []}, "node record 0: id 'a' is not an integer"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": "x", "v": 1}]},
+     "edge record 0: u 'x' is not an integer"),
 ], ids=["nodes-not-array", "node-without-id", "edge-without-v", "short-pos",
-        "null-weight", "list-weight", "null-pos-entry"])
-def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc):
+        "null-weight", "list-weight", "null-pos-entry", "nan-pos-entry", "string-node-id",
+        "string-edge-end"])
+def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     graph = tmp_path / "bad.json"
     graph.write_text(json.dumps(doc))
     assert main(["spectrum", "--graph", str(graph), "-o", str(tmp_path / "eig.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("kernelim: error:")
+    assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, code, message", [
+    ("diffusion:t=nan", 1, "kernel parameter t=nan is not finite"),
+    ("spline:eps=0.01,s=inf", 1, "kernel parameter s=inf is not finite"),
+    ("diffusion:t=-10,t=3", 1, "repeated key 't'"),
+    ("diffusion:t=-500", 2, "coefficients overflowed"),
+], ids=["nan-t", "inf-s", "repeated-key", "finite-overflow"])
+def test_select_bad_kernel_parameter_exit_codes(tmp_path, capsys, sensor_graph, spec, code, message):
+    out = tmp_path / "sel.json"
+    assert main(["select", "--graph", str(sensor_graph), "--kernel", spec,
+                 "--budget", "2", "-o", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("kernelim: ")
+    assert message in err
+    assert not out.exists()
 
 
 def test_select_non_finite_custom_coefficient_exits_1(tmp_path, capsys, sensor_graph):
@@ -214,6 +242,19 @@ def test_compare_deterministic_bytes(tmp_path, sensor_graph):
     assert main(args(b, bm)) == 0
     assert a.read_bytes() == b.read_bytes()
     assert am.read_bytes() == bm.read_bytes()
+
+
+def test_compare_golden_hash(tmp_path):
+    # Desk-scale graph and a 50-run IC baseline; the hash was recorded with one
+    # BLAS thread.  meta.json is not pinned because it embeds the package version.
+    graph, report = tmp_path / "graph.json", tmp_path / "report.csv"
+    assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
+                 "-o", str(graph)]) == 0
+    assert main(["compare", "--graph", str(graph), "--laplacian", "normalized",
+                 "--kernel", "diffusion:t=-10", "--budget", "10", "--ic-p", "0.2",
+                 "--ic-runs", "50", "--seed", "0", "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "1cea44c7133516586fa1dbdb7a5b12461d3b14ec64953430991c4dc4df97e3e2")
 
 
 def test_compare_kernel_nodes_match_select(tmp_path, sensor_graph):

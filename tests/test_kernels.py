@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelim import (
+    GbfKernel,
+    Graph,
     clamp_spectrum,
     custom_kernel,
     diffusion_kernel,
@@ -21,6 +25,7 @@ from kernelim.errors import (
     CoefficientOverflowError,
     ComplexPowerError,
     IndefiniteKernelError,
+    KernelimError,
     KernelSpecError,
     SplineSingularityError,
 )
@@ -210,6 +215,33 @@ def test_parse_kernel_spec(two_node_spectrum, tmp_path):
     kern = parse_kernel_spec(f"custom:file={coeffs}", two_node_spectrum)
     assert np.allclose(kern.coefficients, [1.0, 0.5])
     for bad in ("diffusion", "diffusion:t=abc", "spline:eps=1", "nope:t=1",
-                "custom:file=/missing", "diffusion:t=1,extra=2"):
+                "custom:file=/missing", "diffusion:t=1,extra=2", "diffusion:t=nan",
+                "diffusion:t=1e999", "spline:eps=nan,s=-1", "spline:eps=0.01,s=inf",
+                "diffusion:t=-10,t=3"):
         with pytest.raises(KernelSpecError):
             parse_kernel_spec(bad, two_node_spectrum)
+    with pytest.raises(CoefficientOverflowError):
+        parse_kernel_spec("diffusion:t=-500", two_node_spectrum)  # finite, but exp(1000) overflows
+
+
+_PATH3_SPECTRUM = eigendecompose(laplacian(Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))))
+_VALUE = st.floats().map(repr) | st.sampled_from(["-500", "1e-320", "1e999", "-0", "abc", ""])
+_PAIR = st.tuples(st.sampled_from(["t", "eps", "s", "file", ""]), _VALUE).map("=".join)
+_SPECS = (
+    st.text(max_size=20)
+    | st.builds("diffusion:t={}".format, _VALUE)
+    | st.builds("spline:eps={},s={}".format, _VALUE, _VALUE)
+    | st.builds(lambda family, pairs: family + ":" + ",".join(pairs),
+                st.sampled_from(["diffusion", " Spline", "custom", "heat"]),
+                st.lists(_PAIR | st.text(max_size=4), max_size=3))
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=_SPECS)
+def test_parse_kernel_spec_fails_only_with_kernelim_errors(spec):
+    try:
+        kern = parse_kernel_spec(spec, _PATH3_SPECTRUM)
+    except KernelimError:  # KernelSpecError (exit 1) or a numerical error (exit 2)
+        return
+    assert isinstance(kern, GbfKernel)
