@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .graphs import Graph
 
+DEFAULT_DAMPING = 0.85
+
 
 @dataclass(frozen=True)
 class ICConfig:
@@ -148,11 +150,11 @@ def _run_counts(g: Graph, seeds: list[int], cfg: ICConfig) -> np.ndarray:
     return counts
 
 
-def ic_spread(g: Graph, seeds, cfg: ICConfig, workers: int = 1) -> SpreadEstimate:
+def ic_spread(g: Graph, seeds, cfg: ICConfig) -> SpreadEstimate:
     """Monte-Carlo estimate of the expected number of activated nodes.
 
     Run r draws from the substream (master_seed, r); runs execute serially in
-    substream order.  `workers` is accepted for compatibility and has no effect.
+    substream order.
     """
     seeds = _check_seeds(g, seeds)
     if not seeds:
@@ -163,11 +165,10 @@ def ic_spread(g: Graph, seeds, cfg: ICConfig, workers: int = 1) -> SpreadEstimat
     return SpreadEstimate(mean_spread=mean, std_err=err, runs=cfg.runs)
 
 
-def ic_score(g: Graph, seeds, cfg: ICConfig, workers: int = 1) -> float:
+def ic_score(g: Graph, seeds, cfg: ICConfig) -> float:
     """Mean fraction of nodes NOT reached by cascades from the seed set.
 
-    An empty seed set scores 1.0.  `workers` is accepted for compatibility and
-    has no effect.
+    An empty seed set scores 1.0.
     """
     seeds = _check_seeds(g, seeds)
     if not seeds:
@@ -214,7 +215,7 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
 
 def pagerank(
     g: Graph,
-    damping: float = 0.85,
+    damping: float = DEFAULT_DAMPING,
     tol: float = 1e-9,
     max_iter: int = 1000,
     x0: np.ndarray | None = None,
@@ -250,10 +251,10 @@ def pagerank(
     raise ConvergenceError(f"pagerank did not converge within {max_iter} iterations")
 
 
-def pagerank_top_n(g: Graph, n_sel: int, damping: float = 0.85, tol: float = 1e-9, max_iter: int = 1000) -> list[int]:
+def pagerank_top_n(g: Graph, n_sel: int, damping: float = DEFAULT_DAMPING) -> list[int]:
     """Top nodes by PageRank score, ties broken by ascending id."""
     if not 1 <= n_sel <= g.n:
         raise ValueError(f"n_sel must be in 1..{g.n}, got {n_sel}")
-    scores = pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
+    scores = pagerank(g, damping=damping)
     order = np.lexsort((np.arange(g.n), -scores))
     return [int(i) for i in order[:n_sel]]

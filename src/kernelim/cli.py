@@ -15,17 +15,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import ICConfig
+from .baselines import DEFAULT_DAMPING, ICConfig
 from .compare import METHODS, run_comparison, write_report_csv
-from .errors import (
-    CoefficientOverflowError,
-    ConvergenceError,
-    IndefiniteKernelError,
-    KernelimError,
-    NotPositiveDefiniteError,
-    SolverError,
-    ZeroPivotError,
-)
+from .errors import KernelimError, NumericalError
 from .graphs import (
     GraphFormatError,
     LaplacianKind,
@@ -34,21 +26,13 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .kernels import DEFAULT_CLAMP_FLOOR, clamp_spectrum, parse_kernel_spec
-from .pgreedy import SelectorConfig, select_nodes
+from .kernels import DEFAULT_CLAMP_FLOOR, FAMILY_PARAMETERS, clamp_spectrum, parse_kernel_spec
+from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
 from .plots import write_selection_svg
 from .spectral import eigendecompose
-from .tuning import CvSpec, grid_search
+from .tuning import CV_METRICS, CvSpec, grid_search
 
-NUMERICAL_ERRORS = (
-    IndefiniteKernelError,
-    NotPositiveDefiniteError,
-    ZeroPivotError,
-    ConvergenceError,
-    SolverError,
-    CoefficientOverflowError,
-)
-
+# Default lo:hi:count grid of every tunable parameter; each gets a --NAME-grid flag.
 DEFAULT_GRIDS = {
     "t": "-1e2:-1e-2:25",
     "eps": "1e-16:1e0:25",
@@ -62,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-GRID_FLAGS = ("--t-grid", "--eps-grid", "--s-grid")
+GRID_FLAGS = tuple(f"--{name}-grid" for name in DEFAULT_GRIDS)
 
 
 def _fuse_grid_flags(argv):
@@ -190,8 +174,8 @@ def cmd_tune(args) -> int:
     spectrum, kind = _spectrum(graph, args)
     family = args.kernel
     grids = {}
-    for name, flag in (("t", args.t_grid), ("eps", args.eps_grid), ("s", args.s_grid)):
-        grids[name] = _parse_grid(flag if flag else DEFAULT_GRIDS[name])
+    for name, default in DEFAULT_GRIDS.items():
+        grids[name] = _parse_grid(getattr(args, f"{name}_grid") or default)
     spec = CvSpec(folds=args.folds, seed=args.seed, grids=grids, metric=args.cv_metric)
     result = grid_search(spectrum, family, spec, jitter=args.jitter)
     _write_json(
@@ -253,8 +237,9 @@ def cmd_compare(args) -> int:
 def _add_common(sub, kernel=False, tol=False):
     sub.add_argument("--graph", required=True, help="graph file (JSON or edge list)")
     sub.add_argument(
-        "--laplacian", default="standard", choices=["standard", "normalized"],
-        help="Laplacian feeding the Fourier basis (default: standard)",
+        "--laplacian", default=LaplacianKind.STANDARD.value,
+        choices=[kind.value for kind in LaplacianKind],
+        help="Laplacian feeding the Fourier basis (default: %(default)s)",
     )
     if kernel:
         sub.add_argument(
@@ -264,10 +249,12 @@ def _add_common(sub, kernel=False, tol=False):
         sub.add_argument(
             "--clamp-spectrum", nargs="?", const=DEFAULT_CLAMP_FLOOR, default=None,
             type=float, metavar="FLOOR",
-            help="replace spectral coefficients below FLOOR (default 1e-14) to force positive definiteness",
+            help="replace spectral coefficients below FLOOR (default %(const)s) to force positive definiteness",
         )
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-12, help="stopping tolerance (default 1e-12)")
+        sub.add_argument(
+            "--tol", type=float, default=DEFAULT_TOLERANCE, help="stopping tolerance (default %(default)s)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,13 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = subs.add_parser("tune", help="cross-validated kernel parameter search")
     _add_common(tune)
-    tune.add_argument("--kernel", required=True, choices=["diffusion", "spline"], help="kernel family")
-    tune.add_argument("--t-grid", help="lo:hi:count (default -1e2:-1e-2:25)")
-    tune.add_argument("--eps-grid", help="lo:hi:count (default 1e-16:1e0:25)")
-    tune.add_argument("--s-grid", help="lo:hi:count (default -1e1:-1e-1:25)")
+    tune.add_argument("--kernel", required=True, choices=list(FAMILY_PARAMETERS), help="kernel family")
+    for flag, default in zip(GRID_FLAGS, DEFAULT_GRIDS.values()):
+        tune.add_argument(flag, help=f"lo:hi:count (default {default})")
     tune.add_argument("--folds", type=int, default=5)
     tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--cv-metric", choices=["mae", "rmse"], default="mae")
+    tune.add_argument("--cv-metric", choices=CV_METRICS, default=CV_METRICS[0])
     tune.add_argument("--jitter", type=float, default=0.0, help="diagonal regularization for CV solves")
     tune.add_argument("--table", help="optional CSV score table")
     tune.add_argument("-o", "--out", required=True)
@@ -320,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--ic-p", type=float, default=0.2)
     cmp_.add_argument("--ic-runs", type=int, default=500)
     cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--pr-damping", type=float, default=0.85)
+    cmp_.add_argument("--pr-damping", type=float, default=DEFAULT_DAMPING)
     cmp_.add_argument("--jitter", type=float, default=0.0)
     cmp_.add_argument("--meta", help="optional metadata JSON path")
     cmp_.add_argument("-o", "--out", required=True)
@@ -339,7 +325,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"kernelim: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (KernelimError, ValueError, OSError) as exc:

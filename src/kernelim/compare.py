@@ -11,12 +11,12 @@ import csv
 from dataclasses import dataclass, field
 
 from . import __version__
-from .baselines import ICConfig, ic_greedy_select, ic_score, pagerank_top_n
+from .baselines import DEFAULT_DAMPING, ICConfig, ic_greedy_select, ic_score, pagerank_top_n
 from .errors import KernelimError
 from .gpr import power_direct
 from .graphs import Graph, LaplacianKind, degree_top_n, graph_hash
 from .kernels import GbfKernel, format_kernel_spec
-from .pgreedy import SelectorConfig, select_nodes
+from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
 from .spectral import Spectrum
 
 METHODS = ("kernel", "ic", "pagerank", "degree")
@@ -59,8 +59,8 @@ def run_comparison(
     budget: int,
     ic_cfg: ICConfig,
     methods=METHODS,
-    damping: float = 0.85,
-    tolerance: float = 1e-12,
+    damping: float = DEFAULT_DAMPING,
+    tolerance: float = DEFAULT_TOLERANCE,
     jitter: float = 0.0,
     laplacian: LaplacianKind = LaplacianKind.STANDARD,
 ) -> ComparisonReport:

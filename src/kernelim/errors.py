@@ -5,6 +5,10 @@ class KernelimError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NumericalError(KernelimError):
+    """Base class for numerical failures; the CLI exits 2 on these and 1 on the rest."""
+
+
 class GraphFormatError(KernelimError):
     """A graph file or edge list violates the format contract."""
 
@@ -21,19 +25,19 @@ class ComplexPowerError(KernelimError):
     """Negative base with non-integer exponent in the spline coefficient map."""
 
 
-class CoefficientOverflowError(KernelimError):
+class CoefficientOverflowError(NumericalError):
     """Spectral coefficients overflowed to non-finite values."""
 
 
-class IndefiniteKernelError(KernelimError):
+class IndefiniteKernelError(NumericalError):
     """Operation requires a positive definite kernel (all spectral coefficients > 0)."""
 
 
-class NotPositiveDefiniteError(KernelimError):
+class NotPositiveDefiniteError(NumericalError):
     """Cholesky factorization of the kernel submatrix failed."""
 
 
-class ZeroPivotError(KernelimError):
+class ZeroPivotError(NumericalError):
     """Greedy pivot fell below the numerical guard; the selection is exhausted."""
 
 
@@ -41,9 +45,9 @@ class NotSymmetricError(KernelimError):
     """Matrix expected to be symmetric is not."""
 
 
-class SolverError(KernelimError):
+class SolverError(NumericalError):
     """The dense eigensolver failed to converge."""
 
 
-class ConvergenceError(KernelimError):
+class ConvergenceError(NumericalError):
     """An iterative method exceeded its iteration limit."""

@@ -22,9 +22,8 @@ class LaplacianKind(Enum):
         try:
             return cls(str(name).lower())
         except ValueError:
-            raise ValueError(
-                f"unknown laplacian kind {name!r}; expected 'standard' or 'normalized'"
-            ) from None
+            expected = " or ".join(repr(kind.value) for kind in cls)
+            raise ValueError(f"unknown laplacian kind {name!r}; expected {expected}") from None
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,8 @@ def _check_records(records, kind: str, keys: tuple[str, ...]) -> None:
     if not isinstance(records, list):
         raise GraphFormatError(f"graph JSON '{kind}s' must be an array")
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or any(not isinstance(rec.get(k), (int, str)) for k in keys):
+        # type(), not isinstance(): JSON true and false load as bool, an int subclass
+        if not isinstance(rec, dict) or any(type(rec.get(k)) not in (int, str) for k in keys):
             fields = " and ".join(repr(k) for k in keys)
             raise GraphFormatError(f"{kind} record {i} must be an object with integer {fields}")
 
@@ -299,8 +299,11 @@ def generate_points_graph(
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows; thinning and linking both use this formula."""
-    return np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
+    """Euclidean distances between rows; thinning and linking both use this formula.
+
+    A distance too large for a float is +inf, which compares as far apart."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
 
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:

@@ -24,6 +24,10 @@ DIFFUSION = "diffusion"
 SPLINE = "spline"
 CUSTOM = "custom"
 
+# Real parameters of each analytic family, in spec and grid order; a custom
+# kernel takes its coefficients from a file instead.
+FAMILY_PARAMETERS = {DIFFUSION: ("t",), SPLINE: ("eps", "s")}
+
 DEFAULT_CLAMP_FLOOR = 1e-14
 
 
@@ -202,20 +206,17 @@ def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
     if not sep or not body:
         raise KernelSpecError(f"bad kernel spec {spec!r}: expected 'family:key=value,...'")
     params = _parse_params(body, spec)
-    expected = {DIFFUSION: {"t"}, SPLINE: {"eps", "s"}, CUSTOM: {"file"}}.get(family)
+    expected = {**FAMILY_PARAMETERS, CUSTOM: ("file",)}.get(family)
     if expected is None:
         raise KernelSpecError(f"unknown kernel family {family!r}")
-    if set(params) != expected:
+    if set(params) != set(expected):
         raise KernelSpecError(
             f"bad kernel spec {spec!r}: {family} takes exactly {sorted(expected)}"
         )
     try:
-        if family == DIFFUSION:
-            return diffusion_kernel(spectrum, float(params["t"]))
-        if family == SPLINE:
-            return spline_kernel(spectrum, float(params["eps"]), float(params["s"]))
-        path = params["file"]
-        with open(path, "r", encoding="utf-8") as fh:
+        if family != CUSTOM:
+            return build_kernel(family, {p: float(params[p]) for p in expected}, spectrum)
+        with open(params["file"], "r", encoding="utf-8") as fh:
             values = [float(line) for line in fh if line.strip()]
         return custom_kernel(spectrum, values)
     except (ValueError, OSError) as exc:
@@ -224,8 +225,7 @@ def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
 
 def format_kernel_spec(kernel: GbfKernel) -> str:
     """Spec string for report metadata (custom kernels render as 'custom:n=...')."""
-    if kernel.family == DIFFUSION:
-        return f"diffusion:t={kernel.params['t']!r}"
-    if kernel.family == SPLINE:
-        return f"spline:eps={kernel.params['eps']!r},s={kernel.params['s']!r}"
-    return f"custom:n={kernel.n}"
+    if kernel.family not in FAMILY_PARAMETERS:
+        return f"custom:n={kernel.n}"
+    body = ",".join(f"{p}={kernel.params[p]!r}" for p in FAMILY_PARAMETERS[kernel.family])
+    return f"{kernel.family}:{body}"

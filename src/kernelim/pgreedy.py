@@ -98,13 +98,13 @@ def power_update_step(
     w_new = int(w_new)
     if w_new in state.chosen:
         raise ValueError(f"node {w_new} is already selected")
+    col = kernel_column(spectrum, kernel, w_new)  # range-checks w_new before p2 is indexed
     pivot = float(state.p2[w_new])
     if pivot <= state.pivot_guard:
         raise ZeroPivotError(
             f"pivot {pivot:.3e} at node {w_new} is below the guard "
             f"{state.pivot_guard:.3e}; selection is numerically exhausted"
         )
-    col = kernel_column(spectrum, kernel, w_new)
     if state.newton.shape[1]:
         col = col - state.newton @ state.newton[w_new]
     newton_col = col / np.sqrt(pivot)

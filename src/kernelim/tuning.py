@@ -9,20 +9,22 @@ import numpy as np
 
 from .errors import KernelimError, NotPositiveDefiniteError
 from .gpr import fit_coefficients
-from .kernels import DIFFUSION, SPLINE, build_kernel, kernel_matrix
+from .kernels import FAMILY_PARAMETERS, build_kernel, kernel_matrix
 from .spectral import Spectrum
 
-GRID_PARAMETERS = {DIFFUSION: ("t",), SPLINE: ("eps", "s")}
+CV_METRICS = ("mae", "rmse")  # the first is the default
 
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """`count` logarithmically equally spaced values from lo to hi.
 
-    Both endpoints must be nonzero and share a sign; the sign is preserved and
-    the endpoints are returned exactly.
+    Both endpoints must be finite, nonzero and share a sign; the sign is
+    preserved and the endpoints are returned exactly.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"grid endpoints must be finite, got [{lo}, {hi}]")
     if lo == 0 or hi == 0 or (lo > 0) != (hi > 0):
         raise ValueError(f"grid endpoints must be nonzero with equal signs, got [{lo}, {hi}]")
     if count == 1:
@@ -49,11 +51,12 @@ class CvSpec:
     seed: int
     grids: dict
     target: np.ndarray | None = None   # defaults to the constant-1 signal
-    metric: str = "mae"
+    metric: str = CV_METRICS[0]
 
     def __post_init__(self):
-        if self.metric not in ("mae", "rmse"):
-            raise ValueError(f"metric must be 'mae' or 'rmse', got {self.metric!r}")
+        if self.metric not in CV_METRICS:
+            choices = " or ".join(repr(m) for m in CV_METRICS)
+            raise ValueError(f"metric must be {choices}, got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,9 @@ def grid_search(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float = 0
     Grid points iterate in row-major order over the family's documented
     parameter order; the first minimum wins ties.
     """
-    if family not in GRID_PARAMETERS:
-        raise ValueError(f"grid search supports {sorted(GRID_PARAMETERS)}, not {family!r}")
-    names = GRID_PARAMETERS[family]
+    if family not in FAMILY_PARAMETERS:
+        raise ValueError(f"grid search supports {sorted(FAMILY_PARAMETERS)}, not {family!r}")
+    names = FAMILY_PARAMETERS[family]
     missing = [p for p in names if p not in spec.grids]
     if missing:
         raise ValueError(f"missing grid for parameter(s) {missing}")

@@ -59,15 +59,6 @@ def test_spread_reproducible_and_seed_sensitive(star4):
     assert a != c
 
 
-def test_spread_worker_count_invariant():
-    rng = np.random.default_rng(4)
-    g = random_connected_graph(rng, 25)
-    cfg = ICConfig(p=0.2, runs=300, master_seed=11)
-    serial = ic_spread(g, [0, 5, 9], cfg, workers=1)
-    parallel = ic_spread(g, [0, 5, 9], cfg, workers=8)
-    assert serial == parallel
-
-
 def test_spread_monotone_under_shared_streams():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 30)

@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernelim import load_graph
-from kernelim.cli import main
+from kernelim.cli import DEFAULT_GRIDS, main
+from kernelim.errors import NumericalError
+from kernelim.kernels import FAMILY_PARAMETERS
 
 
 @pytest.fixture
@@ -97,6 +104,20 @@ def test_select_warm_start(tmp_path, sensor_graph):
     assert len(doc["nodes"]) == 5
 
 
+@pytest.mark.parametrize("initial", ["5000", "-1"])
+def test_select_initial_out_of_range_exits_1(tmp_path, capsys, initial):
+    graph, out = tmp_path / "sensor79.json", tmp_path / "sel.json"
+    assert main(["gen", "--nodes", "79", "--seed", "7", "--link-radius", "0.2",
+                 "-o", str(graph)]) == 0
+    code = main(["select", "--graph", str(graph), "--kernel", "diffusion:t=-10",
+                 "--budget", "2", f"--initial={initial}", "-o", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kernelim: error: node id {initial} out of range 0..78")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_select_svg(tmp_path, sensor_graph):
     out = tmp_path / "sel.json"
     svg = tmp_path / "sel.svg"
@@ -139,9 +160,13 @@ def test_spectrum_path3(tmp_path):
     ({"nodes": [{"id": "a"}, {"id": 1}], "edges": []}, "node record 0: id 'a' is not an integer"),
     ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": "x", "v": 1}]},
      "edge record 0: u 'x' is not an integer"),
+    ({"nodes": [{"id": True}, {"id": False}], "edges": [{"u": True, "v": 0}]},
+     "node record 0 must be an object with integer 'id'"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": False}]},
+     "edge record 0 must be an object with integer 'u' and 'v'"),
 ], ids=["nodes-not-array", "node-without-id", "edge-without-v", "short-pos",
         "null-weight", "list-weight", "null-pos-entry", "nan-pos-entry", "string-node-id",
-        "string-edge-end"])
+        "string-edge-end", "bool-node-id", "bool-edge-end"])
 def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     graph = tmp_path / "bad.json"
     graph.write_text(json.dumps(doc))
@@ -280,3 +305,78 @@ def test_compare_unknown_method_exits_1(tmp_path, sensor_graph):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "kernelim" in capsys.readouterr().out
+
+
+def test_numerical_errors_are_the_exit_2_classes():
+    assert {cls.__name__ for cls in NumericalError.__subclasses__()} == {
+        "CoefficientOverflowError", "ConvergenceError", "IndefiniteKernelError",
+        "NotPositiveDefiniteError", "SolverError", "ZeroPivotError",
+    }
+
+
+def test_default_grids_cover_every_family_parameter():
+    assert set(DEFAULT_GRIDS) == {p for names in FAMILY_PARAMETERS.values() for p in names}
+
+
+def _assert_clean_exit(argv):
+    """`main(argv)` exits 0, 1 or 2 with a message; a warning raises instead of leaking."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert any(line.startswith("kernelim: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+def _mostly(valid, other):
+    # `valid` seven times in eight, so most examples get past the earlier checks.
+    return st.integers(0, 7).flatmap(lambda k: other if k == 7 else valid)
+
+
+_ENDPOINT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "0", "nan", " -1 ", "1e999", "-1e999", "-1e2", "-1e-2", "1e-16", "1"]),
+)
+# Counts stay in -1..3 (a free part never parses as an integer above 0), so no
+# grid is large.
+_GRID = _mostly(
+    st.builds("{}:{}:{}".format, _ENDPOINT, _ENDPOINT, st.integers(-1, 3)),
+    st.lists(_ENDPOINT, max_size=4).map(":".join),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILY_PARAMETERS)), grids=st.lists(_GRID, min_size=2, max_size=2))
+@example(family="diffusion", grids=["-1e2:-1e999:3", "1:1:1"])
+def test_tune_grid_flags_fail_only_with_a_message(tmp_path_factory, family, grids):
+    # Only the family's own flags are drawn; a flag it ignores is parsed and dropped.
+    graph = tmp_path_factory.getbasetemp() / "path5.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 4\n")
+    flags = [f"--{p}-grid={g}" for p, g in zip(FAMILY_PARAMETERS[family], grids)]
+    _assert_clean_exit(["tune", "--graph", str(graph), "--kernel", family, "--folds", "2",
+                        *flags, "-o", str(graph.with_name("best.json"))])
+
+
+_TOKEN = _mostly(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.one_of(st.floats().map(repr), st.integers().map(str),
+              st.sampled_from(["", "x", "1e999", "nan", "#", ","])),
+)
+_POINTS_LINE = _mostly(
+    st.tuples(_TOKEN, _TOKEN, st.sampled_from([" ", ", "])).map(lambda t: t[0] + t[2] + t[1]),
+    st.one_of(st.lists(_TOKEN, max_size=3).map(" ".join), st.text(max_size=20)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lines=st.lists(_POINTS_LINE, max_size=12))
+@example(lines=["0 0", "0 1e200"])
+def test_gen_points_file_fails_only_with_a_message(tmp_path_factory, lines):
+    points = tmp_path_factory.getbasetemp() / "points.txt"
+    points.write_text("\n".join(lines), encoding="utf-8")
+    _assert_clean_exit(["gen", "--kind", "points", "--points-file", str(points),
+                        "--thin-radius", "0.01", "--link-radius", "0.5",
+                        "-o", str(points.with_name("points.json"))])

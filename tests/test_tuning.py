@@ -39,6 +39,12 @@ def test_log_grid_single_point():
     assert log_grid(2.5, 9.0, 1).tolist() == [2.5]
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e2, -float("inf")), (float("inf"), 1.0), (1.0, float("nan"))])
+def test_log_grid_refuses_non_finite_endpoints(lo, hi):
+    with pytest.raises(ValueError, match="grid endpoints must be finite"):
+        log_grid(lo, hi, 3)
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(-1.0, 1.0, 5)
