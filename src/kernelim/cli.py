@@ -1,14 +1,14 @@
 """Command-line interface: gen | select | tune | compare | spectrum.
 
 All randomness flows from --seed (fixed default 0), so identical command lines
-produce byte-identical outputs.  Usage and input errors exit 1; numerical
-failures exit 2.
+produce byte-identical outputs at a fixed BLAS thread count on one machine;
+another thread count can break near-ties in the greedy selection differently.
+Usage and input errors exit 1; numerical failures exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import DEFAULT_DAMPING, ICConfig
-from .compare import METHODS, run_comparison, write_report_csv
+from .compare import METHODS, run_comparison, write_csv, write_report_csv
 from .errors import KernelimError, NumericalError
 from .graphs import (
     GraphFormatError,
@@ -24,6 +24,8 @@ from .graphs import (
     generate_points_graph,
     laplacian,
     load_graph,
+    read_float,
+    read_int,
     save_graph,
 )
 from .kernels import DEFAULT_CLAMP_FLOOR, FAMILY_PARAMETERS, clamp_spectrum, parse_kernel_spec
@@ -41,9 +43,10 @@ DEFAULT_GRIDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1, per the CLI contract
+    # usage problems take main's one error path: "kernelim: error: tune: ...", exit 1
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        command = self.prog.partition(" ")[2]
+        raise ValueError(f"{command}: {message}" if command else message)
 
 
 GRID_FLAGS = tuple(f"--{name}-grid" for name in DEFAULT_GRIDS)
@@ -68,11 +71,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} must look like lo:hi:count")
-    return float(parts[0]), float(parts[1]), int(parts[2])
-
-
-def _load(args):
-    return load_graph(args.graph)
+    return read_float(parts[0]), read_float(parts[1]), read_int(parts[2])
 
 
 def _spectrum(graph, args):
@@ -82,9 +81,7 @@ def _spectrum(graph, args):
 
 def _kernel(args, spectrum):
     kern = parse_kernel_spec(args.kernel, spectrum)
-    if getattr(args, "clamp_spectrum", None) is not None:
-        kern = clamp_spectrum(kern, args.clamp_spectrum)
-    return kern
+    return kern if args.clamp_spectrum is None else clamp_spectrum(kern, args.clamp_spectrum)
 
 
 def _write_json(path, payload) -> None:
@@ -115,7 +112,7 @@ def cmd_gen(args) -> int:
                 tokens = body.split()
                 if len(tokens) != 2:
                     raise GraphFormatError(f"{args.points_file}:{lineno}: expected 'x y'")
-                points.append((float(tokens[0]), float(tokens[1])))
+                points.append((read_float(tokens[0]), read_float(tokens[1])))
         graph = generate_points_graph(
             points=np.array(points),
             thin_radius=args.thin_radius,
@@ -129,10 +126,10 @@ def cmd_gen(args) -> int:
 def cmd_select(args) -> int:
     if args.budget < 1:
         raise ValueError("--budget must be at least 1")
-    graph = _load(args)
+    graph = load_graph(args.graph)
     spectrum, kind = _spectrum(graph, args)
     kern = _kernel(args, spectrum)
-    initial = tuple(int(tok) for tok in args.initial.split(",")) if args.initial else ()
+    initial = tuple(read_int(tok) for tok in args.initial.split(",")) if args.initial else ()
     state = select_nodes(
         spectrum, kern, SelectorConfig(budget=args.budget, initial=initial, tolerance=args.tol)
     )
@@ -152,25 +149,19 @@ def cmd_select(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    graph = _load(args)
+    graph = load_graph(args.graph)
     spectrum, _ = _spectrum(graph, args)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(spectrum.eigenvalues):
-            writer.writerow([i, repr(float(lam))])
+    eigenvalues = ([i, repr(float(lam))] for i, lam in enumerate(spectrum.eigenvalues))
+    write_csv(args.out, ["index", "eigenvalue"], eigenvalues)
     if args.vectors:
-        with open(args.vectors, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"u{k}" for k in range(spectrum.n)])
-            for row in spectrum.eigenvectors:
-                writer.writerow([repr(float(x)) for x in row])
+        rows = ([repr(float(x)) for x in row] for row in spectrum.eigenvectors)
+        write_csv(args.vectors, [f"u{k}" for k in range(spectrum.n)], rows)
     print(f"wrote {args.out}: {spectrum.n} eigenvalues")
     return 0
 
 
 def cmd_tune(args) -> int:
-    graph = _load(args)
+    graph = load_graph(args.graph)
     spectrum, kind = _spectrum(graph, args)
     family = args.kernel
     grids = {}
@@ -192,11 +183,8 @@ def cmd_tune(args) -> int:
     )
     if args.table:
         names = sorted(result.table[0].params)
-        with open(args.table, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(names + ["score"])
-            for row in result.table:
-                writer.writerow([repr(row.params[p]) for p in names] + [repr(row.score)])
+        rows = ([repr(row.params[p]) for p in names] + [repr(row.score)] for row in result.table)
+        write_csv(args.table, names + ["score"], rows)
     print(f"wrote {args.out}: best {result.best_params} (score {result.best_score:.6g})")
     return 0
 
@@ -208,7 +196,7 @@ def cmd_compare(args) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
-    graph = _load(args)
+    graph = load_graph(args.graph)
     spectrum, kind = _spectrum(graph, args)
     kern = _kernel(args, spectrum)
     cfg = ICConfig(p=args.ic_p, runs=args.ic_runs, master_seed=args.seed)
@@ -248,12 +236,12 @@ def _add_common(sub, kernel=False, tol=False):
         )
         sub.add_argument(
             "--clamp-spectrum", nargs="?", const=DEFAULT_CLAMP_FLOOR, default=None,
-            type=float, metavar="FLOOR",
+            type=read_float, metavar="FLOOR",
             help="replace spectral coefficients below FLOOR (default %(const)s) to force positive definiteness",
         )
     if tol:
         sub.add_argument(
-            "--tol", type=float, default=DEFAULT_TOLERANCE, help="stopping tolerance (default %(default)s)"
+            "--tol", type=read_float, default=DEFAULT_TOLERANCE, help="stopping tolerance (default %(default)s)"
         )
 
 
@@ -264,17 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="generate a graph", parents=[], description="Generate a point-cloud graph.")
     gen.add_argument("--kind", choices=["sensor", "points"], default="sensor")
-    gen.add_argument("--nodes", type=int, default=79, help="node count for --kind sensor")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--nodes", type=read_int, default=79, help="node count for --kind sensor")
+    gen.add_argument("--seed", type=read_int, default=0)
     gen.add_argument("--points-file", help="x y per line, for --kind points")
-    gen.add_argument("--thin-radius", type=float, default=0.0)
-    gen.add_argument("--link-radius", type=float, default=0.2)
+    gen.add_argument("--thin-radius", type=read_float, default=0.0)
+    gen.add_argument("--link-radius", type=read_float, default=0.2)
     gen.add_argument("-o", "--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
     sel = subs.add_parser("select", help="greedy influential-node selection")
     _add_common(sel, kernel=True, tol=True)
-    sel.add_argument("--budget", type=int, required=True)
+    sel.add_argument("--budget", type=read_int, required=True)
     sel.add_argument("--initial", default="", help="comma-separated warm-start node ids")
     sel.add_argument("--svg", help="optional SVG scatter colored by final standard deviation")
     sel.add_argument("-o", "--out", required=True)
@@ -291,23 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--kernel", required=True, choices=list(FAMILY_PARAMETERS), help="kernel family")
     for flag, default in zip(GRID_FLAGS, DEFAULT_GRIDS.values()):
         tune.add_argument(flag, help=f"lo:hi:count (default {default})")
-    tune.add_argument("--folds", type=int, default=5)
-    tune.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--folds", type=read_int, default=5)
+    tune.add_argument("--seed", type=read_int, default=0)
     tune.add_argument("--cv-metric", choices=CV_METRICS, default=CV_METRICS[0])
-    tune.add_argument("--jitter", type=float, default=0.0, help="diagonal regularization for CV solves")
+    tune.add_argument("--jitter", type=read_float, default=0.0, help="diagonal regularization for CV solves")
     tune.add_argument("--table", help="optional CSV score table")
     tune.add_argument("-o", "--out", required=True)
     tune.set_defaults(func=cmd_tune)
 
     cmp_ = subs.add_parser("compare", help="compare selection methods on shared metrics")
     _add_common(cmp_, kernel=True, tol=True)
-    cmp_.add_argument("--budget", type=int, required=True)
+    cmp_.add_argument("--budget", type=read_int, required=True)
     cmp_.add_argument("--methods", default=",".join(METHODS), help=f"comma list from {list(METHODS)}")
-    cmp_.add_argument("--ic-p", type=float, default=0.2)
-    cmp_.add_argument("--ic-runs", type=int, default=500)
-    cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--pr-damping", type=float, default=DEFAULT_DAMPING)
-    cmp_.add_argument("--jitter", type=float, default=0.0)
+    cmp_.add_argument("--ic-p", type=read_float, default=0.2)
+    cmp_.add_argument("--ic-runs", type=read_int, default=500)
+    cmp_.add_argument("--seed", type=read_int, default=0)
+    cmp_.add_argument("--pr-damping", type=read_float, default=DEFAULT_DAMPING)
+    cmp_.add_argument("--jitter", type=read_float, default=0.0)
     cmp_.add_argument("--meta", help="optional metadata JSON path")
     cmp_.add_argument("-o", "--out", required=True)
     cmp_.set_defaults(func=cmd_compare)
@@ -316,15 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_fuse_grid_flags(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(_fuse_grid_flags(argv))
         return args.func(args)
+    except SystemExit:  # --help and --version
+        return 0
     except NumericalError as exc:
         print(f"kernelim: numerical failure: {exc}", file=sys.stderr)
         return 2

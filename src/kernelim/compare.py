@@ -106,20 +106,21 @@ def run_comparison(
     return ComparisonReport(budget=budget, curves=curves, metadata=metadata)
 
 
-def write_report_csv(report: ComparisonReport, path) -> None:
-    """Tidy CSV: method, k, node_id, max_std, mean_std, ic_score."""
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then `rows`, as utf-8 CSV with "\\n" line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "k", "node_id", "max_std", "mean_std", "ic_score"])
-        for curve in report.curves:
-            for i in range(len(curve.nodes)):
-                writer.writerow(
-                    [
-                        curve.method,
-                        i + 1,
-                        curve.nodes[i],
-                        repr(curve.max_std[i]),
-                        repr(curve.mean_std[i]),
-                        repr(curve.ic_score[i]),
-                    ]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report_csv(report: ComparisonReport, path) -> None:
+    """Tidy CSV: method, k, node_id, max_std, mean_std, ic_score."""
+    rows = (
+        [curve.method, k, node, *map(repr, values)]
+        for curve in report.curves
+        for k, (node, *values) in enumerate(
+            zip(curve.nodes, curve.max_std, curve.mean_std, curve.ic_score), start=1
+        )
+    )
+    write_csv(path, ["method", "k", "node_id", "max_std", "mean_std", "ic_score"], rows)

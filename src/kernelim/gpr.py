@@ -16,10 +16,12 @@ from .spectral import Spectrum
 ROUNDOFF_BAND = 1e-10
 
 
-def _cho_factor(a: np.ndarray):
-    """Lower Cholesky factor of `a`; a failed factorization is NotPositiveDefiniteError."""
+def _cho_factor(k_w: np.ndarray, sigma2: float):
+    """Lower Cholesky factor of K_W + sigma^2 I; a failed factorization is NotPositiveDefiniteError."""
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError("sigma2 must be nonnegative and finite")
     try:
-        return scipy.linalg.cho_factor(a, lower=True)
+        return scipy.linalg.cho_factor(k_w + sigma2 * np.eye(k_w.shape[0]), lower=True)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             "kernel submatrix is not positive definite; "
@@ -31,10 +33,7 @@ def fit_coefficients(k_w: np.ndarray, y: np.ndarray, sigma2: float = 0.0) -> np.
     """Solve (K_W + sigma^2 I) c = y via Cholesky (no explicit inverse)."""
     k_w = np.asarray(k_w, dtype=float)
     y = np.asarray(y, dtype=float)
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    cho = _cho_factor(k_w + sigma2 * np.eye(k_w.shape[0]))
-    return scipy.linalg.cho_solve(cho, y)
+    return scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), y)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def power_direct(
     if nodes:
         k_w = kernel_matrix(spectrum, kernel, nodes, nodes)
         cross = kernel_matrix(spectrum, kernel, rows, nodes)
-        cho = _cho_factor(k_w + sigma2 * np.eye(len(nodes)))
+        cho = _cho_factor(k_w, sigma2)
         p2 = diag - np.sum(cross * scipy.linalg.cho_solve(cho, cross.T).T, axis=1)
         if sigma2 == 0.0:
             # At sampled nodes the cross-covariance is a column of K_W, so the

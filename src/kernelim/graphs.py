@@ -13,6 +13,22 @@ import numpy as np
 from .errors import GraphFormatError
 
 
+def _refusing_underscores(convert, message):
+    def read(text):
+        if isinstance(text, str) and "_" in text:
+            raise ValueError(f"{message}: {text!r}")
+        return convert(text)
+
+    read.__name__ = convert.__name__  # argparse names the type in "invalid float value"
+    return read
+
+
+# float() and int() for text from outside, except that the digit-group
+# underscores Python accepts ("1_0" reads as 10) are refused.
+read_float = _refusing_underscores(float, "could not convert string to float")
+read_int = _refusing_underscores(int, "invalid literal for int() with base 10")
+
+
 class LaplacianKind(Enum):
     STANDARD = "standard"
     NORMALIZED = "normalized"
@@ -111,7 +127,7 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: self-loop on node {tokens[0]!r}")
         if len(tokens) == 3:
             try:
-                w = float(tokens[2])
+                w = read_float(tokens[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: weight {tokens[2]!r} is not a number") from None
         else:
@@ -181,7 +197,7 @@ def _json_number(value, what: str) -> float:
     """A finite JSON number, or a string holding one, as a float."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            if math.isfinite(out := float(value)):
+            if math.isfinite(out := read_float(value)):
                 return out
         except (ValueError, OverflowError):
             pass
@@ -191,7 +207,7 @@ def _json_number(value, what: str) -> float:
 def _json_int(value, what: str) -> int:
     """An integer or a string holding one (`_check_records` admits only these)."""
     try:
-        return int(value)
+        return read_int(value)
     except ValueError:
         raise GraphFormatError(f"{what} {value!r} is not an integer") from None
 
@@ -271,9 +287,9 @@ def generate_points_graph(
     are linked with weight 1.0.  Pass either explicit `points` or a generator
     spec (`count`, `seed`) for uniform points in the unit square.
     """
-    if link_radius <= 0:
+    if not link_radius > 0:
         raise ValueError("link_radius must be positive")
-    if thin_radius < 0:
+    if not thin_radius >= 0:
         raise ValueError("thin_radius must be nonnegative")
     if points is None:
         if count is None:

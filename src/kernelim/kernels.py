@@ -18,6 +18,7 @@ from .errors import (
     KernelSpecError,
     SplineSingularityError,
 )
+from .graphs import read_float
 from .spectral import Spectrum
 
 DIFFUSION = "diffusion"
@@ -128,8 +129,8 @@ def clamp_spectrum(kernel: GbfKernel, floor: float = DEFAULT_CLAMP_FLOOR) -> Gbf
     Makes an indefinite configuration usable as a covariance; the clamp floor
     is recorded in the kernel parameters.
     """
-    if floor <= 0:
-        raise ValueError("clamp floor must be positive")
+    if not 0 < floor < np.inf:
+        raise ValueError("clamp floor must be positive and finite")
     clamped = np.maximum(kernel.coefficients, floor)
     return replace(
         kernel,
@@ -215,9 +216,9 @@ def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
         )
     try:
         if family != CUSTOM:
-            return build_kernel(family, {p: float(params[p]) for p in expected}, spectrum)
+            return build_kernel(family, {p: read_float(params[p]) for p in expected}, spectrum)
         with open(params["file"], "r", encoding="utf-8") as fh:
-            values = [float(line) for line in fh if line.strip()]
+            values = [read_float(line) for line in fh if line.strip()]
         return custom_kernel(spectrum, values)
     except (ValueError, OSError) as exc:
         raise KernelSpecError(f"bad kernel spec {spec!r}: {exc}") from None

@@ -37,7 +37,7 @@ class SelectorConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         ini = tuple(int(v) for v in self.initial)
         if len(set(ini)) != len(ini):

@@ -82,31 +82,40 @@ def _target(spec: CvSpec, n: int) -> np.ndarray:
     return t
 
 
-def _cv_error_folds(spectrum, family, params, spec, folds, target, jitter):
-    """Per-fold errors, or None when the point is unusable (scores +inf)."""
-    try:
-        kern = build_kernel(family, params, spectrum)
-    except KernelimError:
-        return None
-    if not kern.is_positive_definite:
-        return None
-    k = kernel_matrix(spectrum, kern)
-    errors = []
-    for fold in folds:
-        train = np.setdiff1d(np.arange(spectrum.n), fold)
+def _point_scorer(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float):
+    """Scorer of one search: parameter point -> GridPointScore.
+
+    The fold training sets and the target are built once, here.  Unusable
+    points (singular, indefinite, overflowing, or failing to factorize) score
+    +inf with no fold errors.
+    """
+    folds = kfold_partition(spectrum.n, spec.folds, spec.seed)
+    trains = [np.setdiff1d(np.arange(spectrum.n), fold) for fold in folds]
+    target = _target(spec, spectrum.n)
+
+    def score(params: dict) -> GridPointScore:
+        unusable = GridPointScore(params=params, score=float("inf"), fold_errors=())
         try:
-            coeff = fit_coefficients(k[np.ix_(train, train)], target[train], sigma2=jitter)
-        except NotPositiveDefiniteError:
-            return None
-        pred = k[:, train] @ coeff
-        resid = target - pred
-        err = float(np.mean(np.abs(resid))) if spec.metric == "mae" else float(
-            np.sqrt(np.mean(resid**2))
-        )
-        if not np.isfinite(err):
-            return None
-        errors.append(err)
-    return errors
+            kern = build_kernel(family, params, spectrum)
+        except KernelimError:
+            return unusable
+        if not kern.is_positive_definite:
+            return unusable
+        k = kernel_matrix(spectrum, kern)
+        errors = []
+        for train in trains:
+            try:
+                coeff = fit_coefficients(k[np.ix_(train, train)], target[train], sigma2=jitter)
+            except NotPositiveDefiniteError:
+                return unusable
+            resid = target - k[:, train] @ coeff
+            err = float(np.mean(np.abs(resid)) if spec.metric == "mae" else np.sqrt(np.mean(resid**2)))
+            if not np.isfinite(err):
+                return unusable
+            errors.append(err)
+        return GridPointScore(params=params, score=float(np.mean(errors)), fold_errors=tuple(errors))
+
+    return score
 
 
 def cv_error(spectrum: Spectrum, family: str, params: dict, spec: CvSpec, jitter: float = 0.0) -> float:
@@ -114,13 +123,9 @@ def cv_error(spectrum: Spectrum, family: str, params: dict, spec: CvSpec, jitter
 
     Every fold in turn is held out: the interpolant is fitted on the remaining
     nodes and the error is measured over the entire graph.  Unusable parameter
-    points (singular, indefinite, overflowing, or failing to factorize) score
-    +inf instead of raising.
+    points score +inf instead of raising.
     """
-    folds = kfold_partition(spectrum.n, spec.folds, spec.seed)
-    target = _target(spec, spectrum.n)
-    errors = _cv_error_folds(spectrum, family, params, spec, folds, target, jitter)
-    return float("inf") if errors is None else float(np.mean(errors))
+    return _point_scorer(spectrum, family, spec, jitter)(params).score
 
 
 def grid_search(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float = 0.0) -> CvResult:
@@ -136,20 +141,9 @@ def grid_search(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float = 0
     if missing:
         raise ValueError(f"missing grid for parameter(s) {missing}")
     axes = [log_grid(*spec.grids[p]) for p in names]
-    folds = kfold_partition(spectrum.n, spec.folds, spec.seed)
-    target = _target(spec, spectrum.n)
-
-    table = []
-    for values in itertools.product(*axes):
-        params = dict(zip(names, (float(v) for v in values)))
-        errs = _cv_error_folds(spectrum, family, params, spec, folds, target, jitter)
-        if errs is None:
-            table.append(GridPointScore(params=params, score=float("inf"), fold_errors=()))
-        else:
-            table.append(
-                GridPointScore(params=params, score=float(np.mean(errs)), fold_errors=tuple(errs))
-            )
+    score = _point_scorer(spectrum, family, spec, jitter)
+    table = tuple(score(dict(zip(names, map(float, values)))) for values in itertools.product(*axes))
     best = min(table, key=lambda row: row.score)
     if not np.isfinite(best.score):
         raise KernelimError("every grid point failed; nothing to select")
-    return CvResult(best_params=dict(best.params), best_score=best.score, table=tuple(table))
+    return CvResult(best_params=dict(best.params), best_score=best.score, table=table)

@@ -380,3 +380,125 @@ def test_gen_points_file_fails_only_with_a_message(tmp_path_factory, lines):
     _assert_clean_exit(["gen", "--kind", "points", "--points-file", str(points),
                         "--thin-radius", "0.01", "--link-radius", "0.5",
                         "-o", str(points.with_name("points.json"))])
+
+
+def _path5(directory):
+    graph = directory / "path5.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 4\n")
+    return graph
+
+
+def test_usage_errors_take_the_one_error_path(tmp_path, capsys):
+    graph = _path5(tmp_path)
+    assert main(["tune", "--graph", str(graph), "--kernel", "diffusion", "--folds", "x",
+                 "-o", str(tmp_path / "b.json")]) == 1
+    assert capsys.readouterr().err == "kernelim: error: tune: argument --folds: invalid int value: 'x'\n"
+    assert main(["no-such-command"]) == 1
+    assert capsys.readouterr().err.startswith("kernelim: error: argument command: invalid choice: ")
+    assert main(["--help"]) == 0
+    assert main(["tune", "--help"]) == 0
+    assert not (tmp_path / "b.json").exists()
+
+
+_SELECT_PATH5 = ["select", "--graph", "{d}/path5.txt", "--kernel", "diffusion:t=-1", "--budget", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--link-radius", "nan"], "link_radius must be positive"),
+    (["gen", "--thin-radius", "nan"], "thin_radius must be nonnegative"),
+    (_SELECT_PATH5 + ["--tol", "nan"], "tolerance must be positive"),
+    (_SELECT_PATH5 + ["--clamp-spectrum", "nan"], "clamp floor must be positive and finite"),
+    (["compare", "--graph", "{d}/path5.txt", "--kernel", "diffusion:t=-1", "--budget", "2",
+      "--ic-runs", "5", "--jitter", "nan"], "sigma2 must be nonnegative and finite"),
+    (_SELECT_PATH5 + ["--clamp-spectrum", "inf"], "clamp floor must be positive and finite"),
+    (["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--folds", "2",
+      "--t-grid=-10:-1:3", "--jitter", "inf"], "sigma2 must be nonnegative and finite"),
+], ids=["gen-link-radius", "gen-thin-radius", "select-tol", "select-clamp-spectrum", "compare-jitter",
+        "select-clamp-spectrum-inf", "tune-jitter-inf"])
+def test_non_finite_values_fail_each_range_check(tmp_path, capsys, argv, message):
+    _path5(tmp_path)
+    out = tmp_path / "out"
+    assert main([a.format(d=tmp_path) for a in argv] + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kernelim: error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--nodes", "1_0"], "gen: argument --nodes: invalid int value: '1_0'"),
+    (["compare", "--graph", "{d}/path5.txt", "--kernel", "diffusion:t=-1", "--budget", "2",
+      "--ic-p", "0.1_5"], "compare: argument --ic-p: invalid float value: '0.1_5'"),
+    (["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--folds", "2",
+      "--t-grid=-1_0:-1:3"], "could not convert string to float: '-1_0'"),
+    (_SELECT_PATH5 + ["--initial", "0_1"], "invalid literal for int() with base 10: '0_1'"),
+    (["gen", "--kind", "points", "--points-file", "{d}/points.txt"],
+     "could not convert string to float: '1_0'"),
+    (["select", "--graph", "{d}/path5.txt", "--kernel", "diffusion:t=-1_0", "--budget", "2"],
+     "could not convert string to float: '-1_0'"),
+    (["select", "--graph", "{d}/path5.txt", "--kernel", "custom:file={d}/coeffs.txt", "--budget", "2"],
+     "could not convert string to float: '1_0\\n'"),
+    (["spectrum", "--graph", "{d}/weight.json"], 'edge record 0: weight "1_0" is not a finite number'),
+    (["spectrum", "--graph", "{d}/id.json"], "node record 0: id '0_0' is not an integer"),
+    (["spectrum", "--graph", "{d}/weights.txt"], "line 1: weight '1_0' is not a number"),
+], ids=["int-option", "float-option", "grid", "initial", "points-file", "kernel-parameter",
+        "custom-coefficient", "json-number", "json-int", "edge-list-weight"])
+def test_digit_group_underscores_are_refused(tmp_path, capsys, argv, message):
+    # Python's float() and int() read "1_0" as 10; every number from outside refuses it.
+    _path5(tmp_path)
+    (tmp_path / "points.txt").write_text("0 0\n1_0 2\n")
+    (tmp_path / "coeffs.txt").write_text("1.0\n1_0\n1.0\n1.0\n1.0\n")
+    (tmp_path / "weight.json").write_text(json.dumps(
+        {"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "w": "1_0"}]}))
+    (tmp_path / "id.json").write_text(json.dumps(
+        {"nodes": [{"id": "0_0"}, {"id": 1}], "edges": [{"u": 0, "v": 1}]}))
+    (tmp_path / "weights.txt").write_text("0 1 1_0\n1 2\n")
+    out = tmp_path / "out"
+    assert main([a.format(d=tmp_path) for a in argv] + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kernelim: error: ") and message in err
+    assert not out.exists()
+
+
+_NUMERIC_OPTIONS = {
+    "gen": ("--nodes", "--seed", "--thin-radius", "--link-radius"),
+    "select": ("--budget", "--tol", "--clamp-spectrum"),
+    "tune": ("--folds", "--seed", "--jitter"),
+    "compare": ("--budget", "--ic-p", "--ic-runs", "--seed", "--pr-damping", "--jitter", "--tol",
+                "--clamp-spectrum"),
+}
+_OPTION_BASE = {
+    "gen": ["gen", "--nodes", "5"],
+    "select": ["select", "--kernel", "diffusion:t=-1", "--budget", "2"],
+    "tune": ["tune", "--kernel", "diffusion", "--t-grid=-10:-1:3", "--folds", "2"],
+    "compare": ["compare", "--kernel", "diffusion:t=-1", "--budget", "2", "--ic-runs", "5"],
+}
+
+
+def _small(text):
+    # Integers beyond 40 are left out, so that no node count, budget, fold
+    # count or run count makes an example slow.
+    try:
+        return abs(int(text)) <= 40
+    except ValueError:
+        return True
+
+
+_OPTION_VALUE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "x", "nan", "-nan", "inf", "-inf", "1e999", "-1", "0", "-0", "1_0",
+                     "0x10", " 3 ", "1e-320", "2.5", "1e308"]),
+    st.floats().map(repr),
+    st.integers(-5, 40).map(str),
+).filter(_small)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(option=st.sampled_from([(c, o) for c, opts in _NUMERIC_OPTIONS.items() for o in opts]),
+       value=_OPTION_VALUE)
+@example(option=("tune", "--folds"), value="x")
+def test_numeric_options_fail_only_with_a_message(tmp_path_factory, option, value):
+    command, flag = option
+    directory = tmp_path_factory.getbasetemp()
+    graph = [] if command == "gen" else ["--graph", str(_path5(directory))]
+    _assert_clean_exit(_OPTION_BASE[command] + graph + [f"{flag}={value}",
+                                                        "-o", str(directory / "option.out")])

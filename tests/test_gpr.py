@@ -155,3 +155,12 @@ def test_power_singular_submatrix_raises(path3_spectrum):
     kern = custom_kernel(path3_spectrum, [1.0, 0.0, 0.0])  # rank 1
     with pytest.raises(NotPositiveDefiniteError):
         power_direct(path3_spectrum, kern, [0, 1])
+
+
+@pytest.mark.parametrize("sigma2", [-0.5, float("nan"), float("inf")])
+def test_bad_sigma2_refused_by_both_solves(two_node_spectrum, sigma2):
+    kern = diffusion_kernel(two_node_spectrum, t=-1.0)
+    with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
+        fit_coefficients(np.eye(2), np.ones(2), sigma2=sigma2)
+    with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
+        power_direct(two_node_spectrum, kern, [0], sigma2=sigma2)

@@ -17,6 +17,7 @@ from kernelim import (
     uniform_points,
 )
 from kernelim.errors import GraphFormatError
+from kernelim.graphs import read_float, read_int
 
 from helpers import component_count, random_graph
 
@@ -301,3 +302,15 @@ def test_laplacian_kind_parse():
     assert LaplacianKind.parse("normalized") is LaplacianKind.NORMALIZED
     with pytest.raises(ValueError):
         LaplacianKind.parse("fancy")
+
+
+def test_number_readers_refuse_digit_group_underscores():
+    assert read_float(" -2.5e1 ") == -25.0 and np.isnan(read_float("nan"))
+    assert read_int("-7") == -7 and read_float(3) == 3.0 and read_int(4) == 4
+    for text in ("1_0", "-1_0.5", "1e1_0", "_1"):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            read_float(text)
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        read_int("1_000")
+    # argparse names the type in its "invalid ... value" messages
+    assert (read_float.__name__, read_int.__name__) == ("float", "int")

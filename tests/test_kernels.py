@@ -87,6 +87,12 @@ def test_tuned_negative_eps_configuration(two_node_spectrum):
     assert clamped.params["clamp_floor"] == 1e-14
 
 
+@pytest.mark.parametrize("floor", [0.0, -1e-14, float("nan"), float("inf")])
+def test_clamp_floor_must_be_positive_and_finite(two_node_spectrum, floor):
+    with pytest.raises(ValueError, match="clamp floor must be positive and finite"):
+        clamp_spectrum(diffusion_kernel(two_node_spectrum, -1.0), floor)
+
+
 def test_diffusion_overflow_rejected(two_node_spectrum):
     with pytest.raises(CoefficientOverflowError):
         diffusion_kernel(two_node_spectrum, -500.0)  # exp(1000) overflows

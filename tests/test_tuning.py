@@ -169,3 +169,14 @@ def test_cv_error_matches_dense_oracle(metric, jitter, family, params):
     coeff = np.exp(2.0 * lam) if family == "diffusion" else 1.0 / (0.5 + lam)
     want = cv_oracle(s, coeff, kfold_partition(s.n, 5, 2), target, metric, jitter)
     assert abs(cv_error(s, family, params, spec, jitter=jitter) - want) <= 1e-9 * want
+
+
+def test_grid_search_builds_each_training_set_once(monkeypatch):
+    s = eigendecompose(laplacian(random_connected_graph(np.random.default_rng(5), 12)))
+    calls = []
+    setdiff1d = np.setdiff1d
+    monkeypatch.setattr(np, "setdiff1d", lambda *a: calls.append(1) or setdiff1d(*a))
+    result = grid_search(s, "diffusion", CvSpec(folds=3, seed=1, grids={"t": (-2.0, -0.5, 4)}))
+    assert len(result.table) == 4
+    assert len(calls) == 3
+    assert all(len(row.fold_errors) == 3 for row in result.table)
