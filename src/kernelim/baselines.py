@@ -6,6 +6,9 @@ a run's outcome is the set reachable from the seeds over live edges.  This is
 distributionally identical to activating neighbors one attempt at a time, and
 it makes the coins independent of the seed set, so runs sharing a substream
 are exactly monotone under seed growth and safe to reuse across candidates.
+One reachability pass over a sample gives every node's reach set; a seed
+set's spread is the size of the union of its members' sets, so every
+candidate and every prefix is counted from the same pass.
 """
 
 from __future__ import annotations
@@ -45,46 +48,22 @@ class SpreadEstimate:
     runs: int
 
 
-def _directed_adjacency(g: Graph) -> list[list[tuple[int, int]]]:
-    # adj[u] holds (neighbor, directed-edge index); undirected edge j owns
-    # directed indices 2j (u->v) and 2j+1 (v->u).
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for j, (u, v, _) in enumerate(g.edges):
-        adj[u].append((v, 2 * j))
-        adj[v].append((u, 2 * j + 1))
-    for lst in adj:
-        lst.sort()
-    return adj
+def _arcs(g: Graph) -> list[tuple[int, int]]:
+    # Arc 2j is u->v and arc 2j+1 is v->u of undirected edge j = (u, v).
+    return [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
 
 
 def _live_coins(key: tuple, m2: int, p: float) -> list[bool]:
-    # Directed edge e is live when its uniform draw from substream `key` is < p.
+    # Arc e is live when its uniform draw from substream `key` is < p.
     return (np.random.default_rng(key).random(m2) < p).tolist()
 
 
-def _check_seeds(g: Graph, seeds) -> list[int]:
-    out = sorted({int(v) for v in seeds})
-    if out and (out[0] < 0 or out[-1] >= g.n):
-        raise ValueError(f"seed id out of range 0..{g.n - 1}")
-    return out
-
-
-def _reach(adj, coins, v, seen) -> int:
-    """Flood from `v` over live edges into unseen nodes; mark them seen and
-    return how many were reached."""
-    if seen[v]:
-        return 0
-    seen[v] = True
-    stack = [v]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w, e in adj[u]:
-            if coins[e] and not seen[w]:
-                seen[w] = True
-                stack.append(w)
-                count += 1
-    return count
+def _live_succ(n: int, arcs: list[tuple[int, int]], key: tuple, p: float) -> list[list[int]]:
+    """Successor lists of the live-edge sample drawn from substream `key`."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, w in compress(arcs, _live_coins(key, len(arcs), p)):
+        succ[u].append(w)
+    return succ
 
 
 def _reach_masks(succ: list[list[int]]) -> list[int]:
@@ -139,14 +118,22 @@ def _reach_masks(succ: list[list[int]]) -> list[int]:
     return reach
 
 
-def _run_counts(g: Graph, seeds: list[int], cfg: ICConfig) -> np.ndarray:
-    adj = _directed_adjacency(g)
-    m2 = 2 * len(g.edges)
-    counts = np.zeros(cfg.runs, dtype=np.int64)
+def _prefix_counts(g: Graph, node_lists, cfg: ICConfig) -> list[np.ndarray]:
+    """Per-run reach counts of every prefix of every list, all on one sample
+    per run: row k-1 of a list's array holds the counts of its first k nodes.
+    """
+    node_lists = [[int(v) for v in nodes] for nodes in node_lists]
+    if any(not 0 <= v < g.n for nodes in node_lists for v in nodes):
+        raise ValueError(f"seed id out of range 0..{g.n - 1}")
+    counts = [np.zeros((len(nodes), cfg.runs), dtype=np.int64) for nodes in node_lists]
+    arcs = _arcs(g)
     for r in range(cfg.runs):
-        coins = _live_coins((cfg.master_seed, r), m2, cfg.p)
-        seen = [False] * g.n
-        counts[r] = sum(_reach(adj, coins, s, seen) for s in seeds)
+        reach = _reach_masks(_live_succ(g.n, arcs, (cfg.master_seed, r), cfg.p))
+        for nodes, out in zip(node_lists, counts):
+            union = 0
+            for k, v in enumerate(nodes):
+                union |= reach[v]
+                out[k, r] = union.bit_count()
     return counts
 
 
@@ -156,25 +143,24 @@ def ic_spread(g: Graph, seeds, cfg: ICConfig) -> SpreadEstimate:
     Run r draws from the substream (master_seed, r); runs execute serially in
     substream order.
     """
-    seeds = _check_seeds(g, seeds)
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    counts = _run_counts(g, seeds, cfg)
+    counts = _prefix_counts(g, [seeds], cfg)[0][-1]
     mean = float(counts.mean())
     err = float(counts.std(ddof=1) / np.sqrt(cfg.runs)) if cfg.runs > 1 else 0.0
     return SpreadEstimate(mean_spread=mean, std_err=err, runs=cfg.runs)
 
 
-def ic_score(g: Graph, seeds, cfg: ICConfig) -> float:
-    """Mean fraction of nodes NOT reached by cascades from the seed set.
-
-    An empty seed set scores 1.0.
+def ic_score(g: Graph, node_lists, cfg: ICConfig) -> list[list[float]]:
+    """IC score of every prefix of every list: curve i holds, for k = 1..len,
+    the mean fraction of nodes NOT reached by cascades from list i's first k
+    nodes.  Every prefix is scored on the same samples.
     """
-    seeds = _check_seeds(g, seeds)
-    if not seeds:
-        return 1.0
-    counts = _run_counts(g, seeds, cfg)
-    return float(np.mean((g.n - counts) / g.n))
+    return [
+        [float(np.mean((g.n - row) / g.n)) for row in counts]
+        for counts in _prefix_counts(g, node_lists, cfg)
+    ]
 
 
 def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
@@ -189,18 +175,13 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
     if not 1 <= budget <= g.n:
         raise ValueError(f"budget must be in 1..{g.n}, got {budget}")
     n = g.n
-    # Arc 2j is u->v and arc 2j+1 is v->u of edge j, as in _directed_adjacency.
-    arcs = [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
+    arcs = _arcs(g)
     chosen: list[int] = []
 
     for round_idx in range(budget):
         totals = [0] * n
         for run in range(cfg.runs):
-            coins = _live_coins((cfg.master_seed, round_idx, run), len(arcs), cfg.p)
-            succ: list[list[int]] = [[] for _ in range(n)]
-            for u, w in compress(arcs, coins):
-                succ[u].append(w)
-            reach = _reach_masks(succ)
+            reach = _reach_masks(_live_succ(n, arcs, (cfg.master_seed, round_idx, run), cfg.p))
             base = 0
             for s in chosen:
                 base |= reach[s]

@@ -66,24 +66,34 @@ def run_comparison(
 ) -> ComparisonReport:
     """Run every requested selector to `budget` and score all prefixes.
 
-    A failing method is recorded on its curve and the others proceed; the
+    Every method selects first; one `ic_score` call then scores all prefixes
+    of all lists on the same samples.  A failing method is recorded on its
+    curve, keeping the rows before the failure, and the others proceed; the
     report is deterministic for a fixed ICConfig master seed.
     """
     methods = list(methods)
     if not methods:
         raise ValueError("at least one method is required")
-    curves = []
-    for method in methods:
-        curve = MethodCurve(method=method)
-        curves.append(curve)
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise ValueError(f"repeated method {method!r}")
+    curves = [MethodCurve(method=method) for method in methods]
+    selected = []
+    for curve in curves:
         try:
-            nodes = _select(method, graph, spectrum, kernel, budget, ic_cfg, damping, tolerance)
-            for k in range(1, len(nodes) + 1):
+            nodes = _select(curve.method, graph, spectrum, kernel, budget, ic_cfg, damping, tolerance)
+        except KernelimError as exc:
+            curve.error = str(exc)
+            nodes = []
+        selected.append(nodes)
+    for curve, nodes, scores in zip(curves, selected, ic_score(graph, selected, ic_cfg)):
+        try:
+            for k, (node, score) in enumerate(zip(nodes, scores), start=1):
                 powers = power_direct(spectrum, kernel, nodes[:k], sigma2=jitter)
-                curve.nodes.append(nodes[k - 1])
+                curve.nodes.append(node)
                 curve.max_std.append(float(powers.max()))
                 curve.mean_std.append(float(powers.mean()))
-                curve.ic_score.append(ic_score(graph, nodes[:k], ic_cfg))
+                curve.ic_score.append(score)
         except KernelimError as exc:
             curve.error = str(exc)
     if all(c.error is not None for c in curves):

@@ -11,7 +11,7 @@ from kernelim import (
     pagerank,
     pagerank_top_n,
 )
-from kernelim.baselines import _reach_masks, _run_counts
+from kernelim.baselines import _prefix_counts, _reach_masks
 from kernelim.errors import ConvergenceError
 
 from helpers import (
@@ -63,19 +63,26 @@ def test_spread_monotone_under_shared_streams():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 30)
     cfg = ICConfig(p=0.2, runs=200, master_seed=13)
-    small = _run_counts(g, [3], cfg)
-    large = _run_counts(g, [3, 8, 21], cfg)
+    small = _prefix_counts(g, [[3]], cfg)[0][-1]
+    large = _prefix_counts(g, [[3, 8, 21]], cfg)[0][-1]
     assert np.all(large >= small)  # exact per-run monotonicity
 
 
 def test_run_counts_match_sparse_oracle():
+    # Every prefix of every list, counted on one sample per run, against a
+    # breadth-first search of the same sample; node 30 has no edge, and two
+    # lists repeat a node.
     rng = np.random.default_rng(8)
-    g = random_connected_graph(rng, 30)
-    cfg = ICConfig(p=0.2, runs=100, master_seed=19)
-    seeds = [3, 8, 21]
-    expected = [ic_reach_oracle(ic_live_digraph(g, cfg.p, (cfg.master_seed, r)), seeds)
-                for r in range(cfg.runs)]
-    assert _run_counts(g, seeds, cfg).tolist() == expected
+    g = Graph(n=31, edges=random_connected_graph(rng, 30).edges)
+    lists = [[3, 8, 21], [30, 3, 3, 17], [0], [12, 30, 29, 5, 8, 21, 8]]
+    for p in (0.0, 0.3, 1.0):
+        cfg = ICConfig(p=p, runs=40, master_seed=19)
+        live = [ic_live_digraph(g, p, (cfg.master_seed, r)) for r in range(cfg.runs)]
+        counts = _prefix_counts(g, lists, cfg)
+        for nodes, got in zip(lists, counts):
+            expected = [[ic_reach_oracle(sample, nodes[:k]) for sample in live]
+                        for k in range(1, len(nodes) + 1)]
+            assert got.tolist() == expected, (p, nodes)
 
 
 def test_spread_validation(star4):
@@ -90,17 +97,17 @@ def test_spread_validation(star4):
 
 
 def test_score_endpoints(star4, two_node):
-    assert ic_score(star4, [0, 1, 2, 3], ICConfig(p=0.7, runs=20, master_seed=1)) == 0.0
-    assert ic_score(star4, [1, 3], ICConfig(p=0.0, runs=20, master_seed=1)) == 0.5
-    assert ic_score(two_node, [1], ICConfig(p=1.0, runs=20, master_seed=1)) == 0.0
-    assert ic_score(star4, [], ICConfig(p=0.5, runs=20, master_seed=1)) == 1.0
+    assert ic_score(star4, [[0, 1, 2, 3]], ICConfig(p=0.7, runs=20, master_seed=1))[0][-1] == 0.0
+    assert ic_score(star4, [[1, 3]], ICConfig(p=0.0, runs=20, master_seed=1))[0][-1] == 0.5
+    assert ic_score(two_node, [[1]], ICConfig(p=1.0, runs=20, master_seed=1)) == [[0.0]]
+    assert ic_score(star4, [[], [2, 1]], ICConfig(p=0.0, runs=20, master_seed=1)) == [[], [0.75, 0.5]]
 
 
 def test_score_monotone_under_shared_streams():
     rng = np.random.default_rng(6)
     g = random_connected_graph(rng, 24)
     cfg = ICConfig(p=0.2, runs=150, master_seed=17)
-    assert ic_score(g, [2], cfg) >= ic_score(g, [2, 11], cfg)
+    assert ic_score(g, [[2]], cfg)[0][-1] >= ic_score(g, [[2, 11]], cfg)[0][-1]
 
 
 def test_greedy_star_center(star4):

@@ -295,11 +295,17 @@ def test_compare_kernel_nodes_match_select(tmp_path, sensor_graph):
     assert nodes == json.loads(sel.read_text())["nodes"]
 
 
-def test_compare_unknown_method_exits_1(tmp_path, sensor_graph):
+def test_compare_unknown_method_exits_1(tmp_path, capsys, sensor_graph):
     code = main(["compare", "--graph", str(sensor_graph), "--kernel", "diffusion:t=-2",
                  "--budget", "2", "--methods", "kernel,telepathy",
                  "-o", str(tmp_path / "r.csv")])
     assert code == 1
+    code = main(["compare", "--graph", str(sensor_graph), "--kernel", "diffusion:t=-2",
+                 "--budget", "2", "--methods", "kernel,kernel,degree",
+                 "-o", str(tmp_path / "r.csv")])
+    assert code == 1
+    assert "kernelim: error: repeated method 'kernel'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from kernelim import (
     ICConfig,
+    baselines,
     diffusion_kernel,
     custom_kernel,
     eigendecompose,
@@ -46,6 +47,17 @@ def test_ic_score_column_exact_at_p0(two_node):
     report = run_comparison(two_node, s, kern, budget=2, ic_cfg=cfg, methods=["kernel", "degree"])
     for curve in report.curves:
         assert curve.ic_score == [0.5, 0.0]  # (n - k) / n
+
+
+def test_comparison_draws_each_scoring_sample_once(monkeypatch):
+    rng = np.random.default_rng(1)
+    g, s, kern = _setup(rng)
+    calls = []
+    live_coins = baselines._live_coins
+    monkeypatch.setattr(baselines, "_live_coins", lambda *a: calls.append(1) or live_coins(*a))
+    report = run_comparison(g, s, kern, budget=5, ic_cfg=ICConfig(p=0.2, runs=7, master_seed=4))
+    assert [len(curve.nodes) for curve in report.curves] == [5, 5, 5, 5]
+    assert len(calls) == 5 * 7 + 7  # IC-greedy: budget x runs; scoring: runs
 
 
 def test_kernel_curve_hits_tolerance_at_full_budget(two_node):
