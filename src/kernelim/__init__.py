@@ -27,7 +27,6 @@ from .kernels import (
     clamp_spectrum,
     custom_kernel,
     diffusion_kernel,
-    is_positive_definite,
     kernel_column,
     kernel_diag,
     kernel_matrix,

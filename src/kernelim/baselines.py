@@ -48,24 +48,6 @@ class SpreadEstimate:
     runs: int
 
 
-def _arcs(g: Graph) -> list[tuple[int, int]]:
-    # Arc 2j is u->v and arc 2j+1 is v->u of undirected edge j = (u, v).
-    return [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
-
-
-def _live_coins(key: tuple, m2: int, p: float) -> list[bool]:
-    # Arc e is live when its uniform draw from substream `key` is < p.
-    return (np.random.default_rng(key).random(m2) < p).tolist()
-
-
-def _live_succ(n: int, arcs: list[tuple[int, int]], key: tuple, p: float) -> list[list[int]]:
-    """Successor lists of the live-edge sample drawn from substream `key`."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, w in compress(arcs, _live_coins(key, len(arcs), p)):
-        succ[u].append(w)
-    return succ
-
-
 def _reach_masks(succ: list[list[int]]) -> list[int]:
     """Bitmask of the nodes reachable from each node (itself included) along
     the arcs `succ`, built once per strongly connected component.
@@ -118,6 +100,20 @@ def _reach_masks(succ: list[list[int]]) -> list[int]:
     return reach
 
 
+def _samples(g: Graph, cfg: ICConfig, *key):
+    """Reach masks (see `_reach_masks`) of each run's live-edge sample, run r
+    drawn from substream (master_seed, *key, r): arc e is live when its
+    uniform draw is < p, arcs 2j and 2j+1 being u->v and v->u of edge j.
+    """
+    arcs = [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
+    for run in range(cfg.runs):
+        live = np.random.default_rng((cfg.master_seed, *key, run)).random(len(arcs)) < cfg.p
+        succ: list[list[int]] = [[] for _ in range(g.n)]
+        for u, w in compress(arcs, live.tolist()):
+            succ[u].append(w)
+        yield _reach_masks(succ)
+
+
 def _prefix_counts(g: Graph, node_lists, cfg: ICConfig) -> list[np.ndarray]:
     """Per-run reach counts of every prefix of every list, all on one sample
     per run: row k-1 of a list's array holds the counts of its first k nodes.
@@ -126,9 +122,7 @@ def _prefix_counts(g: Graph, node_lists, cfg: ICConfig) -> list[np.ndarray]:
     if any(not 0 <= v < g.n for nodes in node_lists for v in nodes):
         raise ValueError(f"seed id out of range 0..{g.n - 1}")
     counts = [np.zeros((len(nodes), cfg.runs), dtype=np.int64) for nodes in node_lists]
-    arcs = _arcs(g)
-    for r in range(cfg.runs):
-        reach = _reach_masks(_live_succ(g.n, arcs, (cfg.master_seed, r), cfg.p))
+    for r, reach in enumerate(_samples(g, cfg)):
         for nodes, out in zip(node_lists, counts):
             union = 0
             for k, v in enumerate(nodes):
@@ -175,13 +169,11 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
     if not 1 <= budget <= g.n:
         raise ValueError(f"budget must be in 1..{g.n}, got {budget}")
     n = g.n
-    arcs = _arcs(g)
     chosen: list[int] = []
 
     for round_idx in range(budget):
         totals = [0] * n
-        for run in range(cfg.runs):
-            reach = _reach_masks(_live_succ(n, arcs, (cfg.master_seed, round_idx, run), cfg.p))
+        for reach in _samples(g, cfg, round_idx):
             base = 0
             for s in chosen:
                 base |= reach[s]
@@ -199,7 +191,6 @@ def pagerank(
     damping: float = DEFAULT_DAMPING,
     tol: float = 1e-9,
     max_iter: int = 1000,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Power iteration with uniform teleport and weighted transitions.
 
@@ -216,13 +207,7 @@ def pagerank(
     nz = ~dangling
     trans[nz] = a[nz] / deg[nz, None]
 
-    if x0 is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (n,) or np.any(x < 0) or x.sum() <= 0:
-            raise ValueError("x0 must be a nonnegative length-n vector with positive sum")
-        x = x / x.sum()
+    x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         x_new = damping * (trans.T @ x + x[dangling].sum() / n) + (1.0 - damping) / n
         x_new /= x_new.sum()

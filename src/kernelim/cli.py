@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .kernels import DEFAULT_CLAMP_FLOOR, FAMILY_PARAMETERS, clamp_spectrum, parse_kernel_spec
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
-from .plots import write_selection_svg
+from .plots import selection_svg
 from .spectral import eigendecompose
 from .tuning import CV_METRICS, CvSpec, grid_search
 
@@ -84,16 +84,17 @@ def _kernel(args, spectrum):
     return kern if args.clamp_spectrum is None else clamp_spectrum(kern, args.clamp_spectrum)
 
 
-def _write_json(path, payload) -> None:
+def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ": "), indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n")
 
 
 def cmd_gen(args) -> int:
     if args.kind == "sensor":
-        if args.nodes < 1:
-            raise ValueError("--nodes must be at least 1")
         graph = generate_points_graph(
             count=args.nodes,
             seed=args.seed,
@@ -124,8 +125,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
-    if args.budget < 1:
-        raise ValueError("--budget must be at least 1")
     graph = load_graph(args.graph)
     spectrum, kind = _spectrum(graph, args)
     kern = _kernel(args, spectrum)
@@ -141,9 +140,11 @@ def cmd_select(args) -> int:
         "laplacian": kind.value,
         "tolerance": args.tol,
     }
+    # Render before writing anything, so a graph without positions leaves no file.
+    svg = selection_svg(graph, np.sqrt(np.maximum(state.p2, 0.0)), state.chosen) if args.svg else None
     _write_json(args.out, payload)
-    if args.svg:
-        write_selection_svg(args.svg, graph, np.sqrt(np.maximum(state.p2, 0.0)), state.chosen)
+    if svg is not None:
+        _write_text(args.svg, svg)
     print(f"wrote {args.out}: {len(state.chosen)} nodes ({state.stop_reason})")
     return 0
 
@@ -190,12 +191,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.budget < 1:
-        raise ValueError("--budget must be at least 1")
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
     graph = load_graph(args.graph)
     spectrum, kind = _spectrum(graph, args)
     kern = _kernel(args, spectrum)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .baselines import DEFAULT_DAMPING, ICConfig, ic_greedy_select, ic_score, pagerank_top_n
-from .errors import KernelimError
+from .errors import KernelimError, NumericalError
 from .gpr import power_direct
 from .graphs import Graph, LaplacianKind, degree_top_n, graph_hash
 from .kernels import GbfKernel, format_kernel_spec
@@ -47,9 +47,7 @@ def _select(method, graph, spectrum, kernel, budget, cfg, damping, tolerance):
         return ic_greedy_select(graph, budget, cfg)
     if method == "pagerank":
         return pagerank_top_n(graph, budget, damping=damping)
-    if method == "degree":
-        return degree_top_n(graph, budget)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return degree_top_n(graph, budget)
 
 
 def run_comparison(
@@ -69,21 +67,29 @@ def run_comparison(
     Every method selects first; one `ic_score` call then scores all prefixes
     of all lists on the same samples.  A failing method is recorded on its
     curve, keeping the rows before the failure, and the others proceed; the
-    report is deterministic for a fixed ICConfig master seed.
+    report is deterministic for a fixed ICConfig master seed.  If every method
+    fails, the run raises a NumericalError when every cause was numerical and
+    a KernelimError otherwise.
     """
     methods = list(methods)
     if not methods:
         raise ValueError("at least one method is required")
     for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
         if method in methods[:i]:
             raise ValueError(f"repeated method {method!r}")
+    if not 1 <= budget <= graph.n:
+        raise ValueError(f"budget must be in 1..{graph.n}, got {budget}")
     curves = [MethodCurve(method=method) for method in methods]
+    numerical = []  # one entry per failed curve: was its cause numerical?
     selected = []
     for curve in curves:
         try:
             nodes = _select(curve.method, graph, spectrum, kernel, budget, ic_cfg, damping, tolerance)
         except KernelimError as exc:
             curve.error = str(exc)
+            numerical.append(isinstance(exc, NumericalError))
             nodes = []
         selected.append(nodes)
     for curve, nodes, scores in zip(curves, selected, ic_score(graph, selected, ic_cfg)):
@@ -96,8 +102,9 @@ def run_comparison(
                 curve.ic_score.append(score)
         except KernelimError as exc:
             curve.error = str(exc)
-    if all(c.error is not None for c in curves):
-        raise KernelimError(
+            numerical.append(isinstance(exc, NumericalError))
+    if len(numerical) == len(curves):
+        raise (NumericalError if all(numerical) else KernelimError)(
             "every method failed: " + "; ".join(f"{c.method}: {c.error}" for c in curves)
         )
     metadata = {

@@ -59,45 +59,28 @@ def fit(spectrum: Spectrum, kernel: GbfKernel, nodes, values, sigma2: float = 0.
     return GprModel(nodes=nodes, coefficients=coeff, sigma2=float(sigma2), kernel=kernel, values=values)
 
 
-def predict(model: GprModel, spectrum: Spectrum, at=None):
-    """Posterior mean at one node (int) or at every node (None)."""
-    cross = kernel_matrix(spectrum, model.kernel, at if at is None else [at], list(model.nodes))
-    out = cross @ model.coefficients
-    return out if at is None else float(out[0])
+def predict(model: GprModel, spectrum: Spectrum) -> np.ndarray:
+    """Posterior mean at every node."""
+    return kernel_matrix(spectrum, model.kernel, None, list(model.nodes)) @ model.coefficients
 
 
-def power_direct(
-    spectrum: Spectrum,
-    kernel: GbfKernel,
-    sampling_set,
-    sigma2: float = 0.0,
-    at=None,
-):
-    """Posterior standard deviation from the explicit Schur-complement formula.
+def power_direct(spectrum: Spectrum, kernel: GbfKernel, sampling_set, sigma2: float = 0.0) -> np.ndarray:
+    """Posterior standard deviation at every node from the explicit
+    Schur-complement formula.
 
     `sampling_set` may be empty, in which case the value is sqrt(K(v, v)).
-    Returns a vector over all nodes (at=None) or a scalar for a single node.
     """
     nodes = [int(v) for v in sampling_set]
-    rows = None if at is None else [int(at)]
-    diag = kernel_diag(spectrum, kernel) if rows is None else np.array(
-        [kernel_matrix(spectrum, kernel, rows, rows)[0, 0]]
-    )
+    diag = kernel_diag(spectrum, kernel)
+    p2 = diag.copy()
     if nodes:
         k_w = kernel_matrix(spectrum, kernel, nodes, nodes)
-        cross = kernel_matrix(spectrum, kernel, rows, nodes)
-        cho = _cho_factor(k_w, sigma2)
-        p2 = diag - np.sum(cross * scipy.linalg.cho_solve(cho, cross.T).T, axis=1)
+        cross = kernel_matrix(spectrum, kernel, None, nodes)
+        p2 -= np.sum(cross * scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), cross.T).T, axis=1)
         if sigma2 == 0.0:
             # At sampled nodes the cross-covariance is a column of K_W, so the
             # Schur complement vanishes identically; write the exact zero.
-            for w in nodes:
-                if rows is None:
-                    p2[w] = 0.0
-                elif rows[0] == w:
-                    p2[0] = 0.0
-    else:
-        p2 = diag.copy()
+            p2[nodes] = 0.0
     scale = np.maximum(np.abs(diag), np.finfo(float).tiny)
     if np.any(p2 < -ROUNDOFF_BAND * scale):
         worst = int(np.argmin(p2 / scale))
@@ -105,5 +88,4 @@ def power_direct(
             f"squared power {p2[worst]:.3e} at node {worst} is below the rounding band; "
             "the kernel is not positive definite"
         )
-    out = np.sqrt(np.maximum(p2, 0.0))
-    return out if at is None else float(out[0])
+    return np.sqrt(np.maximum(p2, 0.0))

@@ -119,10 +119,6 @@ def custom_kernel(spectrum: Spectrum, coefficients) -> GbfKernel:
     return build_kernel(CUSTOM, {"coefficients": coefficients}, spectrum)
 
 
-def is_positive_definite(kernel: GbfKernel) -> bool:
-    return kernel.is_positive_definite
-
-
 def clamp_spectrum(kernel: GbfKernel, floor: float = DEFAULT_CLAMP_FLOOR) -> GbfKernel:
     """Replace each coefficient by max(coefficient, floor).
 

@@ -66,7 +66,3 @@ def selection_svg(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_selection_svg(path, graph: Graph, values, chosen=()) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(selection_svg(graph, values, chosen))

@@ -211,8 +211,8 @@ def test_criterion_6_hand_fixtures(two_node, two_node_spectrum):
     s = two_node_spectrum
     kern = diffusion_kernel(s, 1.0)
     k11 = float(kernel_matrix(s, kern)[0, 0])
-    p_empty = float(power_direct(s, kern, [], at=0))
-    p_after = float(power_direct(s, kern, [0], at=1))
+    p_empty = float(power_direct(s, kern, [])[0])
+    p_after = float(power_direct(s, kern, [0])[1])
     cv = cv_error(s, "spline", {"eps": 1.0, "s": 1.0}, CvSpec(folds=2, seed=0, grids={}))
     checks = {
         "K11": (k11, (1 + E2) / 2),

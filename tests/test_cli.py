@@ -3,14 +3,19 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelim import load_graph
+import kernelim
+from kernelim import compare, load_graph
 from kernelim.cli import DEFAULT_GRIDS, main
 from kernelim.errors import NumericalError
 from kernelim.kernels import FAMILY_PARAMETERS
@@ -306,6 +311,50 @@ def test_compare_unknown_method_exits_1(tmp_path, capsys, sensor_graph):
     assert code == 1
     assert "kernelim: error: repeated method 'kernel'" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_compare_refuses_bad_methods_and_budget_before_any_selector(tmp_path, capsys, monkeypatch):
+    graph = _path5(tmp_path)
+    calls = []
+    monkeypatch.setattr(compare, "ic_greedy_select", lambda *a: calls.append(1))
+    common = ["compare", "--graph", str(graph), "--kernel", "diffusion:t=-1", "--ic-runs", "5",
+              "-o", str(tmp_path / "r.csv")]
+    assert main(common + ["--budget", "2", "--methods", "ic,telepathy"]) == 1
+    assert "kernelim: error: unknown method 'telepathy'" in capsys.readouterr().err
+    for methods in ("kernel,ic", "ic,kernel"):
+        assert main(common + ["--budget", "6", "--methods", methods]) == 1
+        assert capsys.readouterr().err == "kernelim: error: budget must be in 1..5, got 6\n"
+    assert calls == []
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_compare_every_method_failing_numerically_exits_2(tmp_path, capsys):
+    graph = tmp_path / "desk.json"
+    assert main(["gen", "--nodes", "79", "--seed", "7", "--link-radius", "0.2",
+                 "-o", str(graph)]) == 0
+    code = main(["compare", "--graph", str(graph), "--kernel", "spline:eps=-0.5,s=1",
+                 "--budget", "3", "--ic-runs", "20", "-o", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("kernelim: numerical failure: every method failed: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_select_svg_without_positions_writes_nothing(tmp_path, capsys):
+    graph = _path5(tmp_path)
+    out, svg = tmp_path / "sel.json", tmp_path / "sel.svg"
+    code = main(["select", "--graph", str(graph), "--kernel", "diffusion:t=-1",
+                 "--budget", "2", "-o", str(out), "--svg", str(svg)])
+    assert code == 1
+    assert "kernelim: error: graph has no node positions" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # scipy.sparse adds several MB of resident memory to every command.
+    probe = "import sys, kernelim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_version_flag(capsys):

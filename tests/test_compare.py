@@ -6,6 +6,7 @@ import pytest
 from kernelim import (
     ICConfig,
     baselines,
+    compare,
     diffusion_kernel,
     custom_kernel,
     eigendecompose,
@@ -13,7 +14,7 @@ from kernelim import (
     run_comparison,
     write_report_csv,
 )
-from kernelim.errors import KernelimError
+from kernelim.errors import KernelimError, NumericalError
 
 from helpers import random_connected_graph
 
@@ -53,8 +54,8 @@ def test_comparison_draws_each_scoring_sample_once(monkeypatch):
     rng = np.random.default_rng(1)
     g, s, kern = _setup(rng)
     calls = []
-    live_coins = baselines._live_coins
-    monkeypatch.setattr(baselines, "_live_coins", lambda *a: calls.append(1) or live_coins(*a))
+    reach_masks = baselines._reach_masks
+    monkeypatch.setattr(baselines, "_reach_masks", lambda succ: calls.append(1) or reach_masks(succ))
     report = run_comparison(g, s, kern, budget=5, ic_cfg=ICConfig(p=0.2, runs=7, master_seed=4))
     assert [len(curve.nodes) for curve in report.curves] == [5, 5, 5, 5]
     assert len(calls) == 5 * 7 + 7  # IC-greedy: budget x runs; scoring: runs
@@ -108,6 +109,24 @@ def test_all_methods_failing_raises():
     cfg = ICConfig(p=0.2, runs=20, master_seed=1)
     with pytest.raises(KernelimError, match="every method failed"):
         run_comparison(g, s, kern, budget=3, ic_cfg=cfg, methods=["degree", "pagerank"])
+
+
+def test_failing_methods_keep_the_numerical_exit_class(monkeypatch):
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(rng, 10)
+    s = eigendecompose(laplacian(g))
+    kern = custom_kernel(s, [1.0] + [-1.0] * 9)
+    cfg = ICConfig(p=0.2, runs=5, master_seed=1)
+    with pytest.raises(NumericalError, match="every method failed"):
+        run_comparison(g, s, kern, budget=2, ic_cfg=cfg, methods=["kernel", "degree"])
+
+    def refuse(*args):
+        raise KernelimError("not numerical")
+
+    monkeypatch.setattr(compare, "degree_top_n", refuse)
+    with pytest.raises(KernelimError, match="every method failed") as info:
+        run_comparison(g, s, kern, budget=2, ic_cfg=cfg, methods=["kernel", "degree"])
+    assert not isinstance(info.value, NumericalError)
 
 
 def test_csv_round_trip(tmp_path):

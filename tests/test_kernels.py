@@ -11,7 +11,6 @@ from kernelim import (
     diffusion_kernel,
     eigendecompose,
     gft,
-    is_positive_definite,
     kernel_column,
     kernel_diag,
     kernel_matrix,
@@ -80,7 +79,7 @@ def test_tuned_negative_eps_configuration(two_node_spectrum):
     # kernel is constructible but indefinite until clamped.
     kern = spline_kernel(two_node_spectrum, eps=-2.15e-11, s=-1.0)
     assert kern.coefficients[0] < 0
-    assert not is_positive_definite(kern)
+    assert not kern.is_positive_definite
     clamped = clamp_spectrum(kern)
     assert clamped.is_positive_definite
     assert clamped.coefficients[0] == 1e-14

@@ -23,6 +23,14 @@ def test_diagonal_matrix():
     assert np.allclose(s.eigenvectors, np.eye(2))  # sign rule makes this exact
 
 
+def test_eigenvectors_are_c_contiguous():
+    # An F-ordered basis with the same values takes other BLAS paths in the
+    # kernel products, so the outputs would no longer be byte-identical.
+    g = random_connected_graph(np.random.default_rng(3), 12)
+    for kind in LaplacianKind:
+        assert eigendecompose(laplacian(g, kind)).eigenvectors.flags.c_contiguous
+
+
 def test_two_node_hand_decomposition(two_node_spectrum):
     s = two_node_spectrum
     assert np.allclose(s.eigenvalues, [0.0, 2.0], atol=1e-12)
