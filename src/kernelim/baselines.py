@@ -186,6 +186,11 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
     return chosen
 
 
+def check_damping(damping: float) -> None:
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must lie strictly between 0 and 1")
+
+
 def pagerank(
     g: Graph,
     damping: float = DEFAULT_DAMPING,
@@ -197,8 +202,7 @@ def pagerank(
     Dangling nodes redistribute their mass uniformly.  Converges when the L1
     change between iterates drops below `tol`.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie strictly between 0 and 1")
+    check_damping(damping)
     n = g.n
     a = g.adjacency()
     deg = a.sum(axis=1)

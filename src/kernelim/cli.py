@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import DEFAULT_DAMPING, ICConfig
-from .compare import METHODS, run_comparison, write_csv, write_report_csv
+from .compare import METHODS, check_request, run_comparison, write_csv, write_report_csv
 from .errors import KernelimError, NumericalError
 from .graphs import (
     GraphFormatError,
@@ -125,13 +125,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
+    initial = tuple(read_int(tok) for tok in args.initial.split(",")) if args.initial else ()
+    config = SelectorConfig(budget=args.budget, initial=initial, tolerance=args.tol)
     graph = load_graph(args.graph)
     spectrum, kind = _spectrum(graph, args)
-    kern = _kernel(args, spectrum)
-    initial = tuple(read_int(tok) for tok in args.initial.split(",")) if args.initial else ()
-    state = select_nodes(
-        spectrum, kern, SelectorConfig(budget=args.budget, initial=initial, tolerance=args.tol)
-    )
+    state = select_nodes(spectrum, _kernel(args, spectrum), config)
     payload = {
         "nodes": state.chosen,
         "max_power": [rec.max_power for rec in state.history],
@@ -162,13 +160,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    graph = load_graph(args.graph)
-    spectrum, kind = _spectrum(graph, args)
     family = args.kernel
     grids = {}
     for name, default in DEFAULT_GRIDS.items():
         grids[name] = _parse_grid(getattr(args, f"{name}_grid") or default)
     spec = CvSpec(folds=args.folds, seed=args.seed, grids=grids, metric=args.cv_metric)
+    graph = load_graph(args.graph)
+    spectrum, kind = _spectrum(graph, args)
     result = grid_search(spectrum, family, spec, jitter=args.jitter)
     _write_json(
         args.out,
@@ -192,14 +190,14 @@ def cmd_tune(args) -> int:
 
 def cmd_compare(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    graph = load_graph(args.graph)
-    spectrum, kind = _spectrum(graph, args)
-    kern = _kernel(args, spectrum)
     cfg = ICConfig(p=args.ic_p, runs=args.ic_runs, master_seed=args.seed)
+    graph = load_graph(args.graph)
+    check_request(graph.n, args.budget, methods, args.pr_damping, args.jitter)
+    spectrum, kind = _spectrum(graph, args)
     report = run_comparison(
         graph,
         spectrum,
-        kern,
+        _kernel(args, spectrum),
         budget=args.budget,
         ic_cfg=cfg,
         methods=methods,

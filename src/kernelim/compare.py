@@ -11,9 +11,9 @@ import csv
 from dataclasses import dataclass, field
 
 from . import __version__
-from .baselines import DEFAULT_DAMPING, ICConfig, ic_greedy_select, ic_score, pagerank_top_n
+from .baselines import DEFAULT_DAMPING, ICConfig, check_damping, ic_greedy_select, ic_score, pagerank_top_n
 from .errors import KernelimError, NumericalError
-from .gpr import power_direct
+from .gpr import check_sigma2, power_direct
 from .graphs import Graph, LaplacianKind, degree_top_n, graph_hash
 from .kernels import GbfKernel, format_kernel_spec
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
@@ -34,9 +34,25 @@ class MethodCurve:
 
 @dataclass
 class ComparisonReport:
-    budget: int
     curves: list[MethodCurve]
     metadata: dict
+
+
+def check_request(n: int, budget: int, methods, damping: float, jitter: float) -> list[str]:
+    """Refuse a bad comparison request before any costly step; return the method list."""
+    methods = list(methods)
+    if not methods:
+        raise ValueError("at least one method is required")
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
+        if method in methods[:i]:
+            raise ValueError(f"repeated method {method!r}")
+    if not 1 <= budget <= n:
+        raise ValueError(f"budget must be in 1..{n}, got {budget}")
+    check_damping(damping)
+    check_sigma2(jitter)
+    return methods
 
 
 def _select(method, graph, spectrum, kernel, budget, cfg, damping, tolerance):
@@ -64,42 +80,25 @@ def run_comparison(
 ) -> ComparisonReport:
     """Run every requested selector to `budget` and score all prefixes.
 
-    Every method selects first; one `ic_score` call then scores all prefixes
-    of all lists on the same samples.  A failing method is recorded on its
-    curve, keeping the rows before the failure, and the others proceed; the
-    report is deterministic for a fixed ICConfig master seed.  If every method
-    fails, the run raises a NumericalError when every cause was numerical and
-    a KernelimError otherwise.
+    The request is checked first.  Each method then selects and gets the power
+    rows of every prefix; one `ic_score` call scores the kept prefixes of all
+    lists on the same samples.  A failing method keeps its rows before the
+    failure and its error on its curve, and the others proceed; the report is
+    deterministic for a fixed ICConfig master seed.  If every method fails, the
+    run raises a NumericalError when every cause was numerical and a
+    KernelimError otherwise.
     """
-    methods = list(methods)
-    if not methods:
-        raise ValueError("at least one method is required")
-    for i, method in enumerate(methods):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
-        if method in methods[:i]:
-            raise ValueError(f"repeated method {method!r}")
-    if not 1 <= budget <= graph.n:
-        raise ValueError(f"budget must be in 1..{graph.n}, got {budget}")
+    methods = check_request(graph.n, budget, methods, damping, jitter)
     curves = [MethodCurve(method=method) for method in methods]
     numerical = []  # one entry per failed curve: was its cause numerical?
-    selected = []
     for curve in curves:
         try:
             nodes = _select(curve.method, graph, spectrum, kernel, budget, ic_cfg, damping, tolerance)
-        except KernelimError as exc:
-            curve.error = str(exc)
-            numerical.append(isinstance(exc, NumericalError))
-            nodes = []
-        selected.append(nodes)
-    for curve, nodes, scores in zip(curves, selected, ic_score(graph, selected, ic_cfg)):
-        try:
-            for k, (node, score) in enumerate(zip(nodes, scores), start=1):
+            for k, node in enumerate(nodes, start=1):
                 powers = power_direct(spectrum, kernel, nodes[:k], sigma2=jitter)
                 curve.nodes.append(node)
                 curve.max_std.append(float(powers.max()))
                 curve.mean_std.append(float(powers.mean()))
-                curve.ic_score.append(score)
         except KernelimError as exc:
             curve.error = str(exc)
             numerical.append(isinstance(exc, NumericalError))
@@ -107,6 +106,8 @@ def run_comparison(
         raise (NumericalError if all(numerical) else KernelimError)(
             "every method failed: " + "; ".join(f"{c.method}: {c.error}" for c in curves)
         )
+    for curve, scores in zip(curves, ic_score(graph, [c.nodes for c in curves], ic_cfg)):
+        curve.ic_score = scores
     metadata = {
         "budget": budget,
         "methods": methods,
@@ -120,7 +121,7 @@ def run_comparison(
         "version": __version__,
         "errors": {c.method: c.error for c in curves if c.error is not None},
     }
-    return ComparisonReport(budget=budget, curves=curves, metadata=metadata)
+    return ComparisonReport(curves=curves, metadata=metadata)
 
 
 def write_csv(path, header, rows) -> None:

@@ -16,10 +16,14 @@ from .spectral import Spectrum
 ROUNDOFF_BAND = 1e-10
 
 
-def _cho_factor(k_w: np.ndarray, sigma2: float):
-    """Lower Cholesky factor of K_W + sigma^2 I; a failed factorization is NotPositiveDefiniteError."""
+def check_sigma2(sigma2: float) -> None:
     if not 0 <= sigma2 < np.inf:
         raise ValueError("sigma2 must be nonnegative and finite")
+
+
+def _cho_factor(k_w: np.ndarray, sigma2: float):
+    """Lower Cholesky factor of K_W + sigma^2 I; a failed factorization is NotPositiveDefiniteError."""
+    check_sigma2(sigma2)
     try:
         return scipy.linalg.cho_factor(k_w + sigma2 * np.eye(k_w.shape[0]), lower=True)
     except np.linalg.LinAlgError:

@@ -57,12 +57,17 @@ class SelectionState:
     """Running state of a selection: chosen nodes, Newton basis, powers, residual."""
 
     chosen: list[int]
-    newton: np.ndarray            # (n, k) Newton-basis columns at every node
+    basis: np.ndarray             # (n, n), C order; column j is the j-th Newton column
     p2: np.ndarray                # current squared power per node
     residual: np.ndarray          # constant-1 signal minus current interpolant
     history: list[StepRecord] = field(default_factory=list)
     p2_scale: float = 1.0         # max initial squared power, for the pivot guard
     stop_reason: str | None = None
+
+    @property
+    def newton(self) -> np.ndarray:
+        """(n, k) Newton-basis columns at every node, one per chosen node."""
+        return self.basis[:, : len(self.chosen)]
 
     @property
     def pivot_guard(self) -> float:
@@ -80,7 +85,7 @@ def new_state(spectrum: Spectrum, kernel: GbfKernel) -> SelectionState:
     p2 = kernel_diag(spectrum, kernel).copy()
     return SelectionState(
         chosen=[],
-        newton=np.zeros((spectrum.n, 0)),
+        basis=np.zeros((spectrum.n, spectrum.n)),
         p2=p2,
         residual=np.ones(spectrum.n),
         p2_scale=float(max(p2.max(), np.finfo(float).tiny)),
@@ -105,9 +110,7 @@ def power_update_step(
             f"pivot {pivot:.3e} at node {w_new} is below the guard "
             f"{state.pivot_guard:.3e}; selection is numerically exhausted"
         )
-    if state.newton.shape[1]:
-        col = col - state.newton @ state.newton[w_new]
-    newton_col = col / np.sqrt(pivot)
+    newton_col = (col - state.newton @ state.newton[w_new]) / np.sqrt(pivot)
 
     state.p2 -= newton_col**2
     np.maximum(state.p2, 0.0, out=state.p2)
@@ -117,7 +120,7 @@ def power_update_step(
     gamma = state.residual[w_new] / newton_col[w_new]
     state.residual -= gamma * newton_col
 
-    state.newton = np.hstack([state.newton, newton_col[:, None]])
+    state.basis[:, len(state.chosen)] = newton_col
     state.chosen.append(w_new)
     state.history.append(
         StepRecord(node=w_new, max_power=state.max_power(), max_residual=state.max_residual())

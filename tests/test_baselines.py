@@ -203,6 +203,12 @@ def test_greedy_budget_validation(star4):
         ic_greedy_select(star4, 5, ICConfig(p=0.5, runs=10))
 
 
+def test_pagerank_top_n_count_out_of_range(path3):
+    for n_sel in (0, 4):
+        with pytest.raises(ValueError, match=f"n_sel must be in 1..3, got {n_sel}"):
+            pagerank_top_n(path3, n_sel)
+
+
 def test_pagerank_single_node():
     g = Graph(n=1, edges=())
     assert np.allclose(pagerank(g), [1.0])

@@ -169,9 +169,11 @@ def test_spectrum_path3(tmp_path):
      "node record 0 must be an object with integer 'id'"),
     ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": False}]},
      "edge record 0 must be an object with integer 'u' and 'v'"),
+    ({"nodes": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 0}]},
+     "duplicate edge (0,1)"),
 ], ids=["nodes-not-array", "node-without-id", "edge-without-v", "short-pos",
         "null-weight", "list-weight", "null-pos-entry", "nan-pos-entry", "string-node-id",
-        "string-edge-end", "bool-node-id", "bool-edge-end"])
+        "string-edge-end", "bool-node-id", "bool-edge-end", "duplicate-edge"])
 def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     graph = tmp_path / "bad.json"
     graph.write_text(json.dumps(doc))
@@ -339,6 +341,26 @@ def test_compare_every_method_failing_numerically_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_compare_reports_each_failed_method_and_keeps_its_rows(tmp_path, capsys, sensor_graph):
+    # At t=-20 the kernel is numerically low rank: P-greedy stops on its pivot
+    # guard, while the degree and PageRank prefixes soon give a kernel
+    # submatrix whose Cholesky factorization fails.
+    out, meta = tmp_path / "r.csv", tmp_path / "m.json"
+    code = main(["compare", "--graph", str(sensor_graph), "--kernel", "diffusion:t=-20",
+                 "--budget", "10", "--methods", "kernel,degree,pagerank", "--ic-runs", "5",
+                 "-o", str(out), "--meta", str(meta)])
+    assert code == 0
+    failure = "kernel submatrix is not positive definite; consider --jitter or --clamp-spectrum"
+    assert capsys.readouterr().err == (
+        f"method degree failed: {failure}\nmethod pagerank failed: {failure}\n")
+    assert json.loads(meta.read_text())["errors"] == {"degree": failure, "pagerank": failure}
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for method in ("kernel", "degree", "pagerank"):
+        ks = [int(r["k"]) for r in rows if r["method"] == method]
+        assert 1 <= len(ks) < 10 and ks == list(range(1, len(ks) + 1))
+
+
 def test_select_svg_without_positions_writes_nothing(tmp_path, capsys):
     graph = _path5(tmp_path)
     out, svg = tmp_path / "sel.json", tmp_path / "sel.svg"
@@ -476,6 +498,39 @@ def test_non_finite_values_fail_each_range_check(tmp_path, capsys, argv, message
     assert main([a.format(d=tmp_path) for a in argv] + ["-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("kernelim: error: ") and message in err
+    assert not out.exists()
+
+
+_COMPARE_PATH5 = ["compare", "--graph", "{d}/path5.txt", "--kernel", "diffusion:t=-1",
+                  "--budget", "2", "--ic-runs", "5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_COMPARE_PATH5 + ["--methods", "kernel,telepathy"],
+     "unknown method 'telepathy'; choose from ['kernel', 'ic', 'pagerank', 'degree']"),
+    (_COMPARE_PATH5 + ["--methods", "kernel,kernel"], "repeated method 'kernel'"),
+    (_COMPARE_PATH5 + ["--budget", "6"], "budget must be in 1..5, got 6"),
+    (_COMPARE_PATH5 + ["--pr-damping", "1"], "damping must lie strictly between 0 and 1"),
+    (_COMPARE_PATH5 + ["--jitter", "-1"], "sigma2 must be nonnegative and finite"),
+    (_COMPARE_PATH5 + ["--ic-p", "2"], "spread probability must be in [0, 1], got 2.0"),
+    (_SELECT_PATH5 + ["--budget", "0"], "budget must be at least 1"),
+    (_SELECT_PATH5 + ["--initial", "a"], "invalid literal for int() with base 10: 'a'"),
+    (_SELECT_PATH5 + ["--tol", "-1"], "tolerance must be positive"),
+    (["tune", "--graph", "{d}/path5.txt", "--kernel", "spline", "--s-grid", "x"],
+     "grid 'x' must look like lo:hi:count"),
+], ids=["compare-unknown-method", "compare-repeated-method", "compare-budget", "compare-damping",
+        "compare-jitter", "compare-ic-p", "select-budget", "select-initial", "select-tol",
+        "tune-grid"])
+def test_argument_errors_never_reach_the_eigensolver_or_a_selector(
+        tmp_path, capsys, monkeypatch, argv, message):
+    calls = []
+    monkeypatch.setattr(kernelim.cli, "eigendecompose", lambda *a: calls.append("eigendecompose"))
+    monkeypatch.setattr(compare, "ic_greedy_select", lambda *a: calls.append("ic_greedy_select"))
+    _path5(tmp_path)
+    out = tmp_path / "out"
+    assert main([a.format(d=tmp_path) for a in argv] + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"kernelim: error: {message}\n"
+    assert calls == []
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from kernelim import (
     diffusion_kernel,
     custom_kernel,
     eigendecompose,
+    ic_score,
     laplacian,
     run_comparison,
     write_report_csv,
@@ -109,6 +110,48 @@ def test_all_methods_failing_raises():
     cfg = ICConfig(p=0.2, runs=20, master_seed=1)
     with pytest.raises(KernelimError, match="every method failed"):
         run_comparison(g, s, kern, budget=3, ic_cfg=cfg, methods=["degree", "pagerank"])
+
+
+def test_kept_prefixes_of_a_failed_method_score_as_alone(monkeypatch):
+    # The rank-1 kernel of the test above: degree keeps only its k=1 row.  Its
+    # IC score must equal that of the one-node list scored on its own, and a
+    # request where every method fails raises before any IC scoring.
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 10)
+    s = eigendecompose(laplacian(g))
+    coeff = np.full(10, 1e-30)
+    coeff[0] = 1.0
+    kern = custom_kernel(s, coeff)
+    cfg = ICConfig(p=0.2, runs=20, master_seed=1)
+    report = run_comparison(g, s, kern, budget=3, ic_cfg=cfg, methods=["kernel", "degree"])
+    degree = report.curves[1]
+    assert degree.error is not None
+    assert degree.ic_score == ic_score(g, [degree.nodes], cfg)[0]
+    calls = []
+    monkeypatch.setattr(compare, "ic_score", lambda *a: calls.append(1))
+    with pytest.raises(KernelimError, match="every method failed"):
+        run_comparison(g, s, kern, budget=3, ic_cfg=cfg, methods=["degree", "pagerank"])
+    assert calls == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"methods": []}, "at least one method is required"),
+    ({"methods": ["degree", "ic", "degree"]}, "repeated method 'degree'"),
+    ({"budget": 0}, "budget must be in 1..18, got 0"),
+    ({"damping": 1.0}, "damping must lie strictly between 0 and 1"),
+    ({"jitter": -1.0}, "sigma2 must be nonnegative and finite"),
+    ({"jitter": float("nan")}, "sigma2 must be nonnegative and finite"),
+], ids=["no-method", "repeated-method", "budget", "damping", "jitter", "nan-jitter"])
+def test_request_is_checked_before_any_method_runs(monkeypatch, kwargs, message):
+    rng = np.random.default_rng(1)
+    g, s, kern = _setup(rng)
+    calls = []
+    monkeypatch.setattr(compare, "degree_top_n", lambda *a: calls.append(1))
+    request = {"budget": 2, "methods": ["degree"], **kwargs}
+    with pytest.raises(ValueError) as info:
+        run_comparison(g, s, kern, ic_cfg=ICConfig(p=0.2, runs=5), **request)
+    assert str(info.value) == message
+    assert calls == []
 
 
 def test_failing_methods_keep_the_numerical_exit_class(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kernelim import (
+    Graph,
     SelectorConfig,
     custom_kernel,
     diffusion_kernel,
@@ -192,3 +193,15 @@ def test_tolerance_stop_before_budget():
     assert state.stop_reason in ("power-tolerance", "residual-tolerance")
     assert len(state.chosen) < 19
     assert state.p2.max() < 1e-3
+
+
+def test_numerical_exhaustion_stop():
+    # t = +20 on a 30-node path leaves half the Mercer weights below rounding,
+    # so the largest pivot falls under the guard while it is still far above
+    # a tolerance of 1e-300.
+    g = Graph(n=30, edges=tuple((i, i + 1, 1.0) for i in range(29)))
+    s = eigendecompose(laplacian(g))
+    state = select_nodes(s, diffusion_kernel(s, 20.0), SelectorConfig(budget=30, tolerance=1e-300))
+    assert state.stop_reason == "numerical-exhaustion"
+    assert len(state.chosen) == 15
+    assert 1e-300 < state.p2.max() <= state.pivot_guard

@@ -91,6 +91,17 @@ def test_cv_error_singular_point_scores_inf(two_node_spectrum):
     assert cv_error(two_node_spectrum, "diffusion", {"t": -900.0}, spec) == np.inf
 
 
+def test_cv_error_non_finite_fold_error_scores_inf(two_node_spectrum):
+    # Residuals of 5e199 are finite, but their squares overflow, so the rmse of
+    # each fold is +inf and the point is unusable; the mae stays finite.
+    target = np.full(2, 1e200)
+    mae = CvSpec(folds=2, seed=0, grids={}, target=target, metric="mae")
+    rmse = CvSpec(folds=2, seed=0, grids={}, target=target, metric="rmse")
+    assert cv_error(two_node_spectrum, "spline", {"eps": 1.0, "s": 1.0}, mae) == 2.5e199
+    with np.errstate(over="ignore"):
+        assert cv_error(two_node_spectrum, "spline", {"eps": 1.0, "s": 1.0}, rmse) == np.inf
+
+
 def test_cv_error_indefinite_point_scores_inf(two_node_spectrum):
     spec = CvSpec(folds=2, seed=0, grids={})
     assert cv_error(two_node_spectrum, "spline", {"eps": -2.15e-11, "s": -1.0}, spec) == np.inf
