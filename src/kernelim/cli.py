@@ -18,6 +18,7 @@ from . import __version__
 from .baselines import DEFAULT_DAMPING, ICConfig
 from .compare import METHODS, check_request, run_comparison, write_csv, write_report_csv
 from .errors import KernelimError, NumericalError
+from .gpr import check_sigma2
 from .graphs import (
     GraphFormatError,
     LaplacianKind,
@@ -32,7 +33,7 @@ from .kernels import DEFAULT_CLAMP_FLOOR, FAMILY_PARAMETERS, clamp_spectrum, par
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
 from .plots import selection_svg
 from .spectral import eigendecompose
-from .tuning import CV_METRICS, CvSpec, grid_search
+from .tuning import CV_METRICS, CvSpec, check_folds, grid_search
 
 # Default lo:hi:count grid of every tunable parameter; each gets a --NAME-grid flag.
 DEFAULT_GRIDS = {
@@ -165,7 +166,9 @@ def cmd_tune(args) -> int:
     for name, default in DEFAULT_GRIDS.items():
         grids[name] = _parse_grid(getattr(args, f"{name}_grid") or default)
     spec = CvSpec(folds=args.folds, seed=args.seed, grids=grids, metric=args.cv_metric)
+    check_sigma2(args.jitter)
     graph = load_graph(args.graph)
+    check_folds(graph.n, args.folds)
     spectrum, kind = _spectrum(graph, args)
     result = grid_search(spectrum, family, spec, jitter=args.jitter)
     _write_json(

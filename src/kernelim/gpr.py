@@ -22,10 +22,17 @@ def check_sigma2(sigma2: float) -> None:
 
 
 def _cho_factor(k_w: np.ndarray, sigma2: float):
-    """Lower Cholesky factor of K_W + sigma^2 I; a failed factorization is NotPositiveDefiniteError."""
+    """Lower Cholesky factor of K_W + sigma^2 I; a failed factorization is NotPositiveDefiniteError.
+
+    The caller's matrix is copied once, into the Fortran order in which LAPACK
+    factors it in place; no identity, sum or further copy is built.
+    """
     check_sigma2(sigma2)
+    a = np.array(k_w, dtype=float, order="F")
+    if sigma2:
+        a[np.diag_indices_from(a)] += sigma2
     try:
-        return scipy.linalg.cho_factor(k_w + sigma2 * np.eye(k_w.shape[0]), lower=True)
+        return scipy.linalg.cho_factor(a, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             "kernel submatrix is not positive definite; "
@@ -35,7 +42,6 @@ def _cho_factor(k_w: np.ndarray, sigma2: float):
 
 def fit_coefficients(k_w: np.ndarray, y: np.ndarray, sigma2: float = 0.0) -> np.ndarray:
     """Solve (K_W + sigma^2 I) c = y via Cholesky (no explicit inverse)."""
-    k_w = np.asarray(k_w, dtype=float)
     y = np.asarray(y, dtype=float)
     return scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), y)
 

@@ -35,10 +35,14 @@ def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
     return vals
 
 
-def kfold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    """Seeded partition of 0..n-1 into `folds` parts with sizes differing by at most 1."""
+def check_folds(n: int, folds: int) -> None:
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be in 2..{n}, got {folds}")
+
+
+def kfold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
+    """Seeded partition of 0..n-1 into `folds` parts with sizes differing by at most 1."""
+    check_folds(n, folds)
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(part) for part in np.array_split(perm, folds)]
 
@@ -105,7 +109,7 @@ def _point_scorer(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float):
         errors = []
         for train in trains:
             try:
-                coeff = fit_coefficients(k[np.ix_(train, train)], target[train], sigma2=jitter)
+                coeff = fit_coefficients(k[train][:, train], target[train], sigma2=jitter)
             except NotPositiveDefiniteError:
                 return unusable
             resid = target - k[:, train] @ coeff

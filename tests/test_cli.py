@@ -289,6 +289,23 @@ def test_compare_golden_hash(tmp_path):
         "1cea44c7133516586fa1dbdb7a5b12461d3b14ec64953430991c4dc4df97e3e2")
 
 
+@pytest.mark.parametrize("jitter, digest", [
+    ("0", "f8eea7055c41235741f17ce38a35bda23d15f5d80e14262927ecfd3d5fe678c3"),
+    ("1e-3", "77c8542f19290d0fec21fca213f69205f65c276c4a3c6a7976b529f55f15660a"),
+], ids=["jitter-0", "jitter-1e-3"])
+def test_tune_golden_hash(tmp_path, jitter, digest):
+    # Desk-scale graph and a 36-point spline grid, so a change to any bit of the
+    # CV solve shows; the hashes were recorded with one BLAS thread.
+    graph, table = tmp_path / "graph.json", tmp_path / "scores.csv"
+    assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
+                 "-o", str(graph)]) == 0
+    assert main(["tune", "--graph", str(graph), "--kernel", "spline",
+                 "--eps-grid", "1e-16:1e0:6", "--s-grid", "-1e1:-1e-1:6", "--folds", "5",
+                 "--seed", "0", "--jitter", jitter, "-o", str(tmp_path / "best.json"),
+                 "--table", str(table)]) == 0
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+
+
 def test_compare_kernel_nodes_match_select(tmp_path, sensor_graph):
     sel = tmp_path / "sel.json"
     rep = tmp_path / "rep.csv"
@@ -503,6 +520,7 @@ def test_non_finite_values_fail_each_range_check(tmp_path, capsys, argv, message
 
 _COMPARE_PATH5 = ["compare", "--graph", "{d}/path5.txt", "--kernel", "diffusion:t=-1",
                   "--budget", "2", "--ic-runs", "5"]
+_TUNE_PATH5 = ["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--t-grid=-10:-1:3"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -518,9 +536,12 @@ _COMPARE_PATH5 = ["compare", "--graph", "{d}/path5.txt", "--kernel", "diffusion:
     (_SELECT_PATH5 + ["--tol", "-1"], "tolerance must be positive"),
     (["tune", "--graph", "{d}/path5.txt", "--kernel", "spline", "--s-grid", "x"],
      "grid 'x' must look like lo:hi:count"),
+    (_TUNE_PATH5 + ["--jitter", "-1"], "sigma2 must be nonnegative and finite"),
+    (_TUNE_PATH5 + ["--folds", "0"], "folds must be in 2..5, got 0"),
+    (_TUNE_PATH5 + ["--folds", "6"], "folds must be in 2..5, got 6"),
 ], ids=["compare-unknown-method", "compare-repeated-method", "compare-budget", "compare-damping",
         "compare-jitter", "compare-ic-p", "select-budget", "select-initial", "select-tol",
-        "tune-grid"])
+        "tune-grid", "tune-jitter", "tune-folds-0", "tune-folds-6"])
 def test_argument_errors_never_reach_the_eigensolver_or_a_selector(
         tmp_path, capsys, monkeypatch, argv, message):
     calls = []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kernelim import (
     custom_kernel,
@@ -14,6 +15,7 @@ from kernelim import (
     spline_kernel,
 )
 from kernelim.errors import IndefiniteKernelError, NotPositiveDefiniteError
+from kernelim.gpr import _cho_factor
 
 from helpers import power_oracle, random_connected_graph
 
@@ -163,3 +165,31 @@ def test_bad_sigma2_refused_by_both_solves(two_node_spectrum, sigma2):
         fit_coefficients(np.eye(2), np.ones(2), sigma2=sigma2)
     with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
         power_direct(two_node_spectrum, kern, [0], sigma2=sigma2)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1e-3])
+def test_solves_leave_their_inputs_alone_and_match_the_reference_factor(sigma2):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((30, 30))
+    k_w = a @ a.T + np.eye(30)
+    y = rng.standard_normal(30)
+    for mat in (k_w, np.asfortranarray(k_w)):
+        before, y_before = mat.copy(), y.copy()
+        fit_coefficients(mat, y, sigma2)
+        assert np.array_equal(mat, before) and np.array_equal(y, y_before)
+    want = scipy.linalg.cho_factor(k_w + sigma2 * np.eye(30), lower=True)[0]
+    assert np.array_equal(_cho_factor(k_w, sigma2)[0], want)
+
+    s = eigendecompose(laplacian(random_connected_graph(rng, 30, unit_spectral=True)))
+    kern = diffusion_kernel(s, -2.0)
+    nodes = [3, 7, 19]
+    saved = [arr.copy() for arr in (s.eigenvalues, s.eigenvectors, kern.coefficients)]
+    first = power_direct(s, kern, nodes, sigma2)
+    for arr, old in zip((s.eigenvalues, s.eigenvectors, kern.coefficients), saved):
+        assert np.array_equal(arr, old)
+    assert nodes == [3, 7, 19]
+    assert np.array_equal(power_direct(s, kern, nodes, sigma2), first)
+
+    k_w[4, 9] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fit_coefficients(k_w, y, sigma2)
