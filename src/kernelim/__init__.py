@@ -31,6 +31,7 @@ from .kernels import (
     kernel_diag,
     kernel_matrix,
     parse_kernel_spec,
+    read_kernel_spec,
     rkhs_norm,
     spectral_coefficients,
     spline_kernel,

@@ -1,18 +1,21 @@
 """Stochastic and centrality baselines: Independent Cascade, PageRank.
 
 Cascades are simulated in the live-edge form: every directed edge keeps its
-own coin, drawn once per run from a substream keyed by (master_seed, run), and
-a run's outcome is the set reachable from the seeds over live edges.  This is
-distributionally identical to activating neighbors one attempt at a time, and
-it makes the coins independent of the seed set, so runs sharing a substream
-are exactly monotone under seed growth and safe to reuse across candidates.
-One reachability pass over a sample gives every node's reach set; a seed
-set's spread is the size of the union of its members' sets, so every
-candidate and every prefix is counted from the same pass.
+own coin, drawn once per run, and a run's outcome is the set reachable from
+the seeds over live edges.  This is distributionally identical to activating
+neighbors one attempt at a time, and it makes the coins independent of the
+seed set, so runs sharing a sample are exactly monotone under seed growth and
+safe to reuse across candidates.  One reachability pass over a sample gives
+every node's reach set; a seed set's spread is the size of the union of its
+members' sets, so every candidate and every prefix is counted from the same
+pass.  Scoring draws run r from substream (master_seed, r); IC-greedy draws
+its one sample set from the disjoint substreams (master_seed, r, 1), so its
+picks are always scored out of sample.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import compress
 
@@ -102,12 +105,15 @@ def _reach_masks(succ: list[list[int]]) -> list[int]:
 
 def _samples(g: Graph, cfg: ICConfig, *key):
     """Reach masks (see `_reach_masks`) of each run's live-edge sample, run r
-    drawn from substream (master_seed, *key, r): arc e is live when its
+    drawn from substream (master_seed, r, *key): arc e is live when its
     uniform draw is < p, arcs 2j and 2j+1 being u->v and v->u of edge j.
+
+    numpy's SeedSequence pads its entropy with zero words, so a key must end
+    in a nonzero word: (master_seed, r, 0) is the same stream as (master_seed, r).
     """
     arcs = [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
     for run in range(cfg.runs):
-        live = np.random.default_rng((cfg.master_seed, *key, run)).random(len(arcs)) < cfg.p
+        live = np.random.default_rng((cfg.master_seed, run, *key)).random(len(arcs)) < cfg.p
         succ: list[list[int]] = [[] for _ in range(g.n)]
         for u, w in compress(arcs, live.tolist()):
             succ[u].append(w)
@@ -158,31 +164,31 @@ def ic_score(g: Graph, node_lists, cfg: ICConfig) -> list[list[float]]:
 
 
 def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
-    """Greedy seed selection under estimated marginal spread.
+    """Greedy seed selection under estimated marginal spread, ties to the smallest id.
 
-    Each round evaluates every remaining candidate on the same `runs` live-edge
-    samples (common random numbers, substreams (master_seed, round, run)), then
-    keeps the node with the largest mean spread, ties to the smallest id.  A
-    sample's spread from chosen + [v] is the exact count of the union of their
-    reach sets, taken from one reachability pass over the sample.
+    One sample set, run r from substream (master_seed, r, 1), serves every
+    round.  A node's gain is the number of nodes its reach sets add to the
+    chosen seeds', summed over the runs; on a fixed set it is monotone and
+    submodular, so lazy (CELF) re-evaluation picks exactly what eager greedy would.
     """
     if not 1 <= budget <= g.n:
         raise ValueError(f"budget must be in 1..{g.n}, got {budget}")
-    n = g.n
-    chosen: list[int] = []
+    reaches = list(_samples(g, cfg, 1))
+    outside = [-1] * cfg.runs  # per run, the nodes no chosen seed reaches
 
-    for round_idx in range(budget):
-        totals = [0] * n
-        for reach in _samples(g, cfg, round_idx):
-            base = 0
-            for s in chosen:
-                base |= reach[s]
-            size, outside = base.bit_count(), ~base
-            for v in range(n):
-                totals[v] += size + (reach[v] & outside).bit_count()
-        masked = np.array(totals, dtype=float)
-        masked[chosen] = -np.inf
-        chosen.append(int(np.argmax(masked)))  # first maximum = smallest id among ties
+    def gain(v: int) -> int:
+        return sum((reach[v] & out).bit_count() for reach, out in zip(reaches, outside))
+
+    heap = [(-gain(v), v, 0) for v in range(g.n)]  # equal gains pop in id order
+    heapq.heapify(heap)
+    chosen: list[int] = []
+    while len(chosen) < budget:
+        _, v, evaluated = heapq.heappop(heap)
+        if evaluated < len(chosen):  # stale bound: re-evaluate and put back
+            heapq.heappush(heap, (-gain(v), v, len(chosen)))
+            continue
+        chosen.append(v)
+        outside = [out & ~reach[v] for reach, out in zip(reaches, outside)]
     return chosen
 
 

@@ -29,7 +29,16 @@ from .graphs import (
     read_int,
     save_graph,
 )
-from .kernels import DEFAULT_CLAMP_FLOOR, FAMILY_PARAMETERS, clamp_spectrum, parse_kernel_spec
+from .kernels import (
+    DEFAULT_CLAMP_FLOOR,
+    FAMILY_PARAMETERS,
+    build_kernel,
+    check_clamp_floor,
+    check_kernel_size,
+    clamp_spectrum,
+    parse_kernel_spec,  # noqa: F401  (unused here; perfbench's span targets look it up in this module)
+    read_kernel_spec,
+)
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
 from .plots import selection_svg
 from .spectral import eigendecompose
@@ -80,8 +89,16 @@ def _spectrum(graph, args):
     return eigendecompose(laplacian(graph, kind)), kind
 
 
-def _kernel(args, spectrum):
-    kern = parse_kernel_spec(args.kernel, spectrum)
+def _read_kernel(args):
+    # every check of --kernel and --clamp-spectrum that needs no graph
+    family, params = read_kernel_spec(args.kernel)
+    if args.clamp_spectrum is not None:
+        check_clamp_floor(args.clamp_spectrum)
+    return family, params
+
+
+def _kernel(args, family, params, spectrum):
+    kern = build_kernel(family, params, spectrum)
     return kern if args.clamp_spectrum is None else clamp_spectrum(kern, args.clamp_spectrum)
 
 
@@ -128,9 +145,11 @@ def cmd_gen(args) -> int:
 def cmd_select(args) -> int:
     initial = tuple(read_int(tok) for tok in args.initial.split(",")) if args.initial else ()
     config = SelectorConfig(budget=args.budget, initial=initial, tolerance=args.tol)
+    family, params = _read_kernel(args)
     graph = load_graph(args.graph)
+    check_kernel_size(family, params, graph.n)
     spectrum, kind = _spectrum(graph, args)
-    state = select_nodes(spectrum, _kernel(args, spectrum), config)
+    state = select_nodes(spectrum, _kernel(args, family, params, spectrum), config)
     payload = {
         "nodes": state.chosen,
         "max_power": [rec.max_power for rec in state.history],
@@ -194,13 +213,15 @@ def cmd_tune(args) -> int:
 def cmd_compare(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
     cfg = ICConfig(p=args.ic_p, runs=args.ic_runs, master_seed=args.seed)
+    family, params = _read_kernel(args)
     graph = load_graph(args.graph)
     check_request(graph.n, args.budget, methods, args.pr_damping, args.jitter)
+    check_kernel_size(family, params, graph.n)
     spectrum, kind = _spectrum(graph, args)
     report = run_comparison(
         graph,
         spectrum,
-        _kernel(args, spectrum),
+        _kernel(args, family, params, spectrum),
         budget=args.budget,
         ic_cfg=cfg,
         methods=methods,

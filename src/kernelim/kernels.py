@@ -76,11 +76,8 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
         with np.errstate(over="ignore"):
             coeff = np.power(base, -s)
     elif family == CUSTOM:
+        check_kernel_size(family, params, lam.shape[0])
         coeff = np.asarray(params["coefficients"], dtype=float).copy()
-        if coeff.shape != lam.shape:
-            raise KernelSpecError(
-                f"custom coefficients have length {coeff.shape[0]}, expected {lam.shape[0]}"
-            )
         bad = ~np.isfinite(coeff)
         if bad.any():
             i = int(np.argmax(bad))
@@ -92,6 +89,14 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
             f"{family} coefficients overflowed for params {params}"
         )
     return coeff
+
+
+def check_kernel_size(family: str, params: dict, n: int) -> None:
+    """Refuse custom coefficients that are not one per node; other families fit any n."""
+    if family == CUSTOM:
+        shape = np.shape(params["coefficients"])
+        if shape != (n,):
+            raise KernelSpecError(f"custom coefficients have length {shape[0]}, expected {n}")
 
 
 def _finite_param(params: dict, key: str) -> float:
@@ -119,14 +124,18 @@ def custom_kernel(spectrum: Spectrum, coefficients) -> GbfKernel:
     return build_kernel(CUSTOM, {"coefficients": coefficients}, spectrum)
 
 
+def check_clamp_floor(floor: float) -> None:
+    if not 0 < floor < np.inf:
+        raise ValueError("clamp floor must be positive and finite")
+
+
 def clamp_spectrum(kernel: GbfKernel, floor: float = DEFAULT_CLAMP_FLOOR) -> GbfKernel:
     """Replace each coefficient by max(coefficient, floor).
 
     Makes an indefinite configuration usable as a covariance; the clamp floor
     is recorded in the kernel parameters.
     """
-    if not 0 < floor < np.inf:
-        raise ValueError("clamp floor must be positive and finite")
+    check_clamp_floor(floor)
     clamped = np.maximum(kernel.coefficients, floor)
     return replace(
         kernel,
@@ -192,11 +201,11 @@ def _parse_params(body: str, spec: str) -> dict:
     return params
 
 
-def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
-    """Build a kernel from a CLI/config string.
+def read_kernel_spec(spec: str) -> tuple[str, dict]:
+    """Family and parameters of a CLI/config string, checked without a spectrum.
 
     Formats: "diffusion:t=-10", "spline:eps=0.01,s=-1", "custom:file=coeffs.csv"
-    (one coefficient per line in the file).
+    (one coefficient per line in the file, read here into params["coefficients"]).
     """
     family, sep, body = spec.partition(":")
     family = family.strip().lower()
@@ -212,12 +221,16 @@ def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
         )
     try:
         if family != CUSTOM:
-            return build_kernel(family, {p: read_float(params[p]) for p in expected}, spectrum)
+            return family, {p: read_float(params[p]) for p in expected}
         with open(params["file"], "r", encoding="utf-8") as fh:
-            values = [read_float(line) for line in fh if line.strip()]
-        return custom_kernel(spectrum, values)
+            return family, {"coefficients": [read_float(line) for line in fh if line.strip()]}
     except (ValueError, OSError) as exc:
         raise KernelSpecError(f"bad kernel spec {spec!r}: {exc}") from None
+
+
+def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
+    """Build a kernel from a CLI/config string (formats as in `read_kernel_spec`)."""
+    return build_kernel(*read_kernel_spec(spec), spectrum)
 
 
 def format_kernel_spec(kernel: GbfKernel) -> str:

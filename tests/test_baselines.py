@@ -5,6 +5,7 @@ import scipy.sparse
 from kernelim import (
     Graph,
     ICConfig,
+    baselines,
     ic_greedy_select,
     ic_score,
     ic_spread,
@@ -139,21 +140,38 @@ def test_greedy_deterministic():
     ("two-components", 0.3, 3),
     ("two-components", 1.0, 8),  # budget n: every round ends in a tie
     ("random12", 0.3, 12),
-], ids=["p0", "p0.3", "p1", "two-components", "budget-n", "budget-n-p0.3"])
+    ("random12", 0.0, 12),   # every gain ties in every round: lazy picks 0, 1, ..., 11
+], ids=["p0", "p0.3", "p1", "two-components", "budget-n", "budget-n-p0.3", "budget-n-p0"])
 def test_greedy_matches_brute_force_oracle(graph, p, budget):
+    # Eager greedy on the one sample set: every round re-evaluates every node.
     if graph == "two-components":
         g = two_components_graph()
     else:
         g = random_connected_graph(np.random.default_rng(9), 12)
     cfg = ICConfig(p=p, runs=40, master_seed=23)
+    samples = [ic_live_digraph(g, cfg.p, (cfg.master_seed, run, 1)) for run in range(cfg.runs)]
     chosen = []
-    for round_idx in range(budget):
-        samples = [ic_live_digraph(g, cfg.p, (cfg.master_seed, round_idx, run))
-                   for run in range(cfg.runs)]
+    for _ in range(budget):
         totals = {v: sum(ic_reach_oracle(live, chosen + [v]) for live in samples)
                   for v in range(g.n) if v not in chosen}
         chosen.append(max(totals, key=lambda v: (totals[v], -v)))
     assert ic_greedy_select(g, budget, cfg) == chosen
+
+
+def test_greedy_samples_are_never_scoring_samples(monkeypatch):
+    # Same master seed, same run count: no live-edge draw of the greedy set may
+    # reappear among the samples that score its picks.
+    g = random_connected_graph(np.random.default_rng(4), 40)
+    assert 2 * len(g.edges) >= 100
+    cfg = ICConfig(p=0.2, runs=20, master_seed=3)
+    drawn = []
+    reach_masks = baselines._reach_masks
+    monkeypatch.setattr(baselines, "_reach_masks", lambda succ: drawn.append(repr(succ)) or reach_masks(succ))
+    ic_greedy_select(g, 5, cfg)
+    greedy, drawn[:] = set(drawn), []
+    ic_score(g, [[0]], cfg)
+    assert greedy.isdisjoint(drawn)
+    assert len(greedy) == len(set(drawn)) == cfg.runs
 
 
 def _random_arcs(rng, n, q):

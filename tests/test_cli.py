@@ -277,16 +277,21 @@ def test_compare_deterministic_bytes(tmp_path, sensor_graph):
 
 
 def test_compare_golden_hash(tmp_path):
-    # Desk-scale graph and a 50-run IC baseline; the hash was recorded with one
+    # Desk-scale graph and a 50-run IC baseline; the hashes were recorded with one
     # BLAS thread.  meta.json is not pinned because it embeds the package version.
+    # The rows of every method but ic have a pin of their own, so a change to the
+    # IC-greedy picks alone leaves that one standing.
     graph, report = tmp_path / "graph.json", tmp_path / "report.csv"
     assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
                  "-o", str(graph)]) == 0
     assert main(["compare", "--graph", str(graph), "--laplacian", "normalized",
                  "--kernel", "diffusion:t=-10", "--budget", "10", "--ic-p", "0.2",
                  "--ic-runs", "50", "--seed", "0", "-o", str(report)]) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "1cea44c7133516586fa1dbdb7a5b12461d3b14ec64953430991c4dc4df97e3e2")
+    lines = report.read_bytes().splitlines(keepends=True)
+    assert hashlib.sha256(b"".join(lines)).hexdigest() == (
+        "752708f38d9ab39f0d6167aae2fbd59691a2b59e55c4394778074da8cf025954")
+    assert hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"ic,"))).hexdigest() == (
+        "80ebf246ca77f4a451d8e205a860ef6222be495d986fc0ad3113b3e6046000ca")
 
 
 @pytest.mark.parametrize("jitter, digest", [
@@ -539,9 +544,19 @@ _TUNE_PATH5 = ["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--t
     (_TUNE_PATH5 + ["--jitter", "-1"], "sigma2 must be nonnegative and finite"),
     (_TUNE_PATH5 + ["--folds", "0"], "folds must be in 2..5, got 0"),
     (_TUNE_PATH5 + ["--folds", "6"], "folds must be in 2..5, got 6"),
+    *[(base + extra, message) for base in (_SELECT_PATH5, _COMPARE_PATH5) for extra, message in [
+        (["--kernel", "diffusion:t=x"],
+         "bad kernel spec 'diffusion:t=x': could not convert string to float: 'x'"),
+        (["--kernel", "difusion:t=1"], "unknown kernel family 'difusion'"),
+        (["--kernel", "custom:file=/nonexistent"],
+         "bad kernel spec 'custom:file=/nonexistent': [Errno 2] No such file or directory: '/nonexistent'"),
+        (["--clamp-spectrum", "-1"], "clamp floor must be positive and finite"),
+    ]],
 ], ids=["compare-unknown-method", "compare-repeated-method", "compare-budget", "compare-damping",
         "compare-jitter", "compare-ic-p", "select-budget", "select-initial", "select-tol",
-        "tune-grid", "tune-jitter", "tune-folds-0", "tune-folds-6"])
+        "tune-grid", "tune-jitter", "tune-folds-0", "tune-folds-6",
+        *[f"{command}-{case}" for command in ("select", "compare")
+          for case in ("kernel-value", "kernel-family", "kernel-file", "clamp-spectrum")]])
 def test_argument_errors_never_reach_the_eigensolver_or_a_selector(
         tmp_path, capsys, monkeypatch, argv, message):
     calls = []
@@ -553,6 +568,20 @@ def test_argument_errors_never_reach_the_eigensolver_or_a_selector(
     assert capsys.readouterr().err == f"kernelim: error: {message}\n"
     assert calls == []
     assert not out.exists()
+
+
+def test_custom_kernel_length_is_checked_before_the_eigensolver(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernelim.cli, "eigendecompose", lambda *a: calls.append("eigendecompose"))
+    _path5(tmp_path)
+    (tmp_path / "coeffs.txt").write_text("1.0\n2.0\n3.0\n")
+    for argv in (_SELECT_PATH5, _COMPARE_PATH5):
+        out = tmp_path / "out"
+        assert main([a.format(d=tmp_path) for a in argv]
+                    + ["--kernel", f"custom:file={tmp_path}/coeffs.txt", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "kernelim: error: custom coefficients have length 3, expected 5\n"
+        assert calls == []
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
