@@ -34,7 +34,7 @@ from .kernels import (
     FAMILY_PARAMETERS,
     build_kernel,
     check_clamp_floor,
-    check_kernel_size,
+    check_kernel_params,
     clamp_spectrum,
     parse_kernel_spec,  # noqa: F401  (unused here; perfbench's span targets look it up in this module)
     read_kernel_spec,
@@ -42,7 +42,7 @@ from .kernels import (
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
 from .plots import selection_svg
 from .spectral import eigendecompose
-from .tuning import CV_METRICS, CvSpec, check_folds, grid_search
+from .tuning import CV_METRICS, CvSpec, check_folds, grid_search, log_grid
 
 # Default lo:hi:count grid of every tunable parameter; each gets a --NAME-grid flag.
 DEFAULT_GRIDS = {
@@ -81,7 +81,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} must look like lo:hi:count")
-    return read_float(parts[0]), read_float(parts[1]), read_int(parts[2])
+    grid = read_float(parts[0]), read_float(parts[1]), read_int(parts[2])
+    log_grid(*grid)  # refuse a bad grid before the graph is read
+    return grid
 
 
 def _spectrum(graph, args):
@@ -147,7 +149,8 @@ def cmd_select(args) -> int:
     config = SelectorConfig(budget=args.budget, initial=initial, tolerance=args.tol)
     family, params = _read_kernel(args)
     graph = load_graph(args.graph)
-    check_kernel_size(family, params, graph.n)
+    config.check(graph.n)
+    check_kernel_params(family, params, graph.n)
     spectrum, kind = _spectrum(graph, args)
     state = select_nodes(spectrum, _kernel(args, family, params, spectrum), config)
     payload = {
@@ -215,8 +218,8 @@ def cmd_compare(args) -> int:
     cfg = ICConfig(p=args.ic_p, runs=args.ic_runs, master_seed=args.seed)
     family, params = _read_kernel(args)
     graph = load_graph(args.graph)
-    check_request(graph.n, args.budget, methods, args.pr_damping, args.jitter)
-    check_kernel_size(family, params, graph.n)
+    check_request(graph.n, args.budget, methods, args.pr_damping, args.jitter, args.tol)
+    check_kernel_params(family, params, graph.n)
     spectrum, kind = _spectrum(graph, args)
     report = run_comparison(
         graph,

@@ -38,7 +38,7 @@ class ComparisonReport:
     metadata: dict
 
 
-def check_request(n: int, budget: int, methods, damping: float, jitter: float) -> list[str]:
+def check_request(n: int, budget: int, methods, damping: float, jitter: float, tolerance: float) -> list[str]:
     """Refuse a bad comparison request before any costly step; return the method list."""
     methods = list(methods)
     if not methods:
@@ -50,6 +50,7 @@ def check_request(n: int, budget: int, methods, damping: float, jitter: float) -
             raise ValueError(f"repeated method {method!r}")
     if not 1 <= budget <= n:
         raise ValueError(f"budget must be in 1..{n}, got {budget}")
+    SelectorConfig(budget=budget, tolerance=tolerance)  # the kernel method's tolerance rule
     check_damping(damping)
     check_sigma2(jitter)
     return methods
@@ -88,7 +89,7 @@ def run_comparison(
     run raises a NumericalError when every cause was numerical and a
     KernelimError otherwise.
     """
-    methods = check_request(graph.n, budget, methods, damping, jitter)
+    methods = check_request(graph.n, budget, methods, damping, jitter, tolerance)
     curves = [MethodCurve(method=method) for method in methods]
     numerical = []  # one entry per failed curve: was its cause numerical?
     for curve in curves:

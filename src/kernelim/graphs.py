@@ -324,9 +324,10 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:
     """Standard (D - A) or normalized (D^-1/2 L D^-1/2) graph Laplacian."""
-    a = g.adjacency()
-    deg = a.sum(axis=1)
-    ls = np.diag(deg) - a
+    ls = g.adjacency()
+    deg = ls.sum(axis=1)
+    np.subtract(0.0, ls, out=ls)  # -A in place, keeping +0.0 off the edges as D - A does
+    np.fill_diagonal(ls, deg)
     if kind is LaplacianKind.STANDARD:
         return ls
     if kind is LaplacianKind.NORMALIZED:
@@ -336,8 +337,11 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndar
                 f"normalized Laplacian undefined: node {isolated} is isolated"
             )
         dinv = 1.0 / np.sqrt(deg)
-        ln = ls * dinv[:, None] * dinv[None, :]
-        return (ln + ln.T) / 2.0  # exact symmetry under rounding
+        ls *= dinv[:, None]
+        ls *= dinv[None, :]
+        ln = ls + ls.T
+        ln /= 2.0  # exact symmetry under rounding
+        return ln
     raise ValueError(f"unknown Laplacian kind {kind!r}")
 
 

@@ -58,32 +58,25 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
     not an integer.
     """
     lam = np.asarray(eigenvalues, dtype=float)
+    check_kernel_params(family, params, lam.shape[0])
     if family == DIFFUSION:
-        t = _finite_param(params, "t")
         with np.errstate(over="ignore"):
-            coeff = np.exp(-t * lam)
+            coeff = np.exp(-float(params["t"]) * lam)
     elif family == SPLINE:
-        eps, s = _finite_param(params, "eps"), _finite_param(params, "s")
+        eps, s = float(params["eps"]), float(params["s"])
         base = eps + lam
         if np.any(base == 0.0):
             raise SplineSingularityError(
                 f"eps + lambda vanishes at eigenvalue index {int(np.argmax(base == 0.0))}"
             )
-        if not float(s).is_integer() and np.any(base < 0.0):
+        if not s.is_integer() and np.any(base < 0.0):
             raise ComplexPowerError(
                 f"negative base eps + lambda with non-integer exponent s={s}"
             )
         with np.errstate(over="ignore"):
             coeff = np.power(base, -s)
-    elif family == CUSTOM:
-        check_kernel_size(family, params, lam.shape[0])
-        coeff = np.asarray(params["coefficients"], dtype=float).copy()
-        bad = ~np.isfinite(coeff)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise KernelSpecError(f"custom coefficient {i} is not finite ({coeff[i]})")
     else:
-        raise KernelSpecError(f"unknown kernel family {family!r}")
+        coeff = np.asarray(params["coefficients"], dtype=float).copy()
     if not np.all(np.isfinite(coeff)):
         raise CoefficientOverflowError(
             f"{family} coefficients overflowed for params {params}"
@@ -91,19 +84,27 @@ def spectral_coefficients(family: str, params: dict, eigenvalues: np.ndarray) ->
     return coeff
 
 
-def check_kernel_size(family: str, params: dict, n: int) -> None:
-    """Refuse custom coefficients that are not one per node; other families fit any n."""
-    if family == CUSTOM:
-        shape = np.shape(params["coefficients"])
-        if shape != (n,):
-            raise KernelSpecError(f"custom coefficients have length {shape[0]}, expected {n}")
+def check_kernel_params(family: str, params: dict, n: int | None = None) -> None:
+    """Refuse a kernel spec by every rule that needs no spectrum.
 
-
-def _finite_param(params: dict, key: str) -> float:
-    value = float(params[key])
-    if not np.isfinite(value):
-        raise KernelSpecError(f"kernel parameter {key}={value} is not finite")
-    return value
+    The family must be known and its parameters finite; custom coefficients
+    must be finite and, once the node count n is known, one per node.
+    """
+    if family in FAMILY_PARAMETERS:
+        for key in FAMILY_PARAMETERS[family]:
+            value = float(params[key])
+            if not np.isfinite(value):
+                raise KernelSpecError(f"kernel parameter {key}={value} is not finite")
+    elif family == CUSTOM:
+        coeff = np.asarray(params["coefficients"], dtype=float)
+        if n is not None and coeff.shape != (n,):
+            raise KernelSpecError(f"custom coefficients have length {coeff.shape[0]}, expected {n}")
+        bad = ~np.isfinite(coeff)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise KernelSpecError(f"custom coefficient {i} is not finite ({coeff[i]})")
+    else:
+        raise KernelSpecError(f"unknown kernel family {family!r}")
 
 
 def build_kernel(family: str, params: dict, spectrum: Spectrum) -> GbfKernel:
@@ -221,11 +222,14 @@ def read_kernel_spec(spec: str) -> tuple[str, dict]:
         )
     try:
         if family != CUSTOM:
-            return family, {p: read_float(params[p]) for p in expected}
-        with open(params["file"], "r", encoding="utf-8") as fh:
-            return family, {"coefficients": [read_float(line) for line in fh if line.strip()]}
+            params = {p: read_float(params[p]) for p in expected}
+        else:
+            with open(params["file"], "r", encoding="utf-8") as fh:
+                params = {"coefficients": [read_float(line) for line in fh if line.strip()]}
     except (ValueError, OSError) as exc:
         raise KernelSpecError(f"bad kernel spec {spec!r}: {exc}") from None
+    check_kernel_params(family, params)
+    return family, params
 
 
 def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
@@ -234,8 +238,14 @@ def parse_kernel_spec(spec: str, spectrum: Spectrum) -> GbfKernel:
 
 
 def format_kernel_spec(kernel: GbfKernel) -> str:
-    """Spec string for report metadata (custom kernels render as 'custom:n=...')."""
+    """Spec string for report metadata (custom kernels render as 'custom:n=...').
+
+    A clamped kernel also names its floor, e.g. 'diffusion:t=-10.0,clamp_floor=1e-14'.
+    """
     if kernel.family not in FAMILY_PARAMETERS:
-        return f"custom:n={kernel.n}"
-    body = ",".join(f"{p}={kernel.params[p]!r}" for p in FAMILY_PARAMETERS[kernel.family])
+        body = f"n={kernel.n}"
+    else:
+        body = ",".join(f"{p}={kernel.params[p]!r}" for p in FAMILY_PARAMETERS[kernel.family])
+    if "clamp_floor" in kernel.params:
+        body += f",clamp_floor={kernel.params['clamp_floor']!r}"
     return f"{kernel.family}:{body}"

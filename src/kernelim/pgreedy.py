@@ -44,6 +44,17 @@ class SelectorConfig:
             raise ValueError("initial set contains duplicate nodes")
         object.__setattr__(self, "initial", ini)
 
+    def check(self, n: int) -> None:
+        """Refuse a request that does not fit an n-node graph."""
+        if self.budget + len(self.initial) > n:
+            raise ValueError(
+                f"budget {self.budget} plus warm-start size {len(self.initial)} "
+                f"exceeds the node count {n}"
+            )
+        for v in self.initial:
+            if not 0 <= v < n:
+                raise ValueError(f"node id {v} out of range 0..{n - 1}")
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -139,11 +150,7 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
         raise IndefiniteKernelError(
             "selection needs a positive definite kernel; clamp the spectrum to proceed"
         )
-    if config.budget + len(config.initial) > spectrum.n:
-        raise ValueError(
-            f"budget {config.budget} plus warm-start size {len(config.initial)} "
-            f"exceeds the node count {spectrum.n}"
-        )
+    config.check(spectrum.n)
     state = new_state(spectrum, kernel)
     for w in config.initial:
         power_update_step(state, spectrum, kernel, w)

@@ -27,12 +27,7 @@ def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
         raise ValueError(f"grid endpoints must be finite, got [{lo}, {hi}]")
     if lo == 0 or hi == 0 or (lo > 0) != (hi > 0):
         raise ValueError(f"grid endpoints must be nonzero with equal signs, got [{lo}, {hi}]")
-    if count == 1:
-        return np.array([float(lo)])
-    sign = 1.0 if lo > 0 else -1.0
-    vals = sign * 10.0 ** np.linspace(np.log10(abs(lo)), np.log10(abs(hi)), count)
-    vals[0], vals[-1] = lo, hi
-    return vals
+    return np.geomspace(lo, hi, count)
 
 
 def check_folds(n: int, folds: int) -> None:

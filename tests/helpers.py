@@ -163,3 +163,13 @@ def reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> set:
 def ic_reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> int:
     """Number of nodes reachable from any seed, by breadth-first search."""
     return len(reach_oracle(live, seeds))
+
+
+def log_grid_oracle(lo: float, hi: float, count: int) -> np.ndarray:
+    """The hand-written log grid `log_grid` once computed: sign * 10**linspace, exact endpoints."""
+    if count == 1:
+        return np.array([float(lo)])
+    sign = 1.0 if lo > 0 else -1.0
+    vals = sign * 10.0 ** np.linspace(np.log10(abs(lo)), np.log10(abs(hi)), count)
+    vals[0], vals[-1] = lo, hi
+    return vals

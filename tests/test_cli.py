@@ -276,6 +276,16 @@ def test_compare_deterministic_bytes(tmp_path, sensor_graph):
     assert am.read_bytes() == bm.read_bytes()
 
 
+def test_compare_meta_names_the_clamp_floor(tmp_path, sensor_graph):
+    args = ["compare", "--graph", str(sensor_graph), "--kernel", "diffusion:t=-2", "--budget", "3",
+            "--methods", "kernel,degree", "--ic-runs", "5", "-o", str(tmp_path / "r.csv")]
+    for extra, kernel in [([], "diffusion:t=-2.0"),
+                          (["--clamp-spectrum", "1e-3"], "diffusion:t=-2.0,clamp_floor=0.001")]:
+        meta = tmp_path / "m.json"
+        assert main(args + extra + ["--meta", str(meta)]) == 0
+        assert json.loads(meta.read_text())["kernel"] == kernel
+
+
 def test_compare_golden_hash(tmp_path):
     # Desk-scale graph and a 50-run IC baseline; the hashes were recorded with one
     # BLAS thread.  meta.json is not pinned because it embeds the package version.
@@ -544,6 +554,14 @@ _TUNE_PATH5 = ["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--t
     (_TUNE_PATH5 + ["--jitter", "-1"], "sigma2 must be nonnegative and finite"),
     (_TUNE_PATH5 + ["--folds", "0"], "folds must be in 2..5, got 0"),
     (_TUNE_PATH5 + ["--folds", "6"], "folds must be in 2..5, got 6"),
+    (_SELECT_PATH5 + ["--budget", "6"], "budget 6 plus warm-start size 0 exceeds the node count 5"),
+    (_SELECT_PATH5 + ["--initial", "7"], "node id 7 out of range 0..4"),
+    (_COMPARE_PATH5 + ["--tol", "-1"], "tolerance must be positive"),
+    (_COMPARE_PATH5 + ["--tol", "-1", "--methods", "degree"], "tolerance must be positive"),
+    (_TUNE_PATH5 + ["--t-grid=0:1:3"], "grid endpoints must be nonzero with equal signs, got [0.0, 1.0]"),
+    (_TUNE_PATH5 + ["--t-grid=-1:-2:0"], "count must be at least 1"),
+    (_TUNE_PATH5 + ["--kernel", "spline", "--t-grid=0:1:3"],
+     "grid endpoints must be nonzero with equal signs, got [0.0, 1.0]"),
     *[(base + extra, message) for base in (_SELECT_PATH5, _COMPARE_PATH5) for extra, message in [
         (["--kernel", "diffusion:t=x"],
          "bad kernel spec 'diffusion:t=x': could not convert string to float: 'x'"),
@@ -551,18 +569,25 @@ _TUNE_PATH5 = ["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--t
         (["--kernel", "custom:file=/nonexistent"],
          "bad kernel spec 'custom:file=/nonexistent': [Errno 2] No such file or directory: '/nonexistent'"),
         (["--clamp-spectrum", "-1"], "clamp floor must be positive and finite"),
+        (["--kernel", "diffusion:t=nan"], "kernel parameter t=nan is not finite"),
+        (["--kernel", "spline:eps=inf,s=-1"], "kernel parameter eps=inf is not finite"),
+        (["--kernel", "custom:file={d}/nan.txt"], "custom coefficient 2 is not finite (nan)"),
     ]],
 ], ids=["compare-unknown-method", "compare-repeated-method", "compare-budget", "compare-damping",
         "compare-jitter", "compare-ic-p", "select-budget", "select-initial", "select-tol",
         "tune-grid", "tune-jitter", "tune-folds-0", "tune-folds-6",
+        "select-budget-over-n", "select-initial-out-of-range", "compare-tol", "compare-tol-no-kernel",
+        "tune-grid-sign", "tune-grid-count", "tune-grid-unused-parameter",
         *[f"{command}-{case}" for command in ("select", "compare")
-          for case in ("kernel-value", "kernel-family", "kernel-file", "clamp-spectrum")]])
+          for case in ("kernel-value", "kernel-family", "kernel-file", "clamp-spectrum",
+                       "kernel-nan", "kernel-inf", "kernel-file-nan")]])
 def test_argument_errors_never_reach_the_eigensolver_or_a_selector(
         tmp_path, capsys, monkeypatch, argv, message):
     calls = []
     monkeypatch.setattr(kernelim.cli, "eigendecompose", lambda *a: calls.append("eigendecompose"))
     monkeypatch.setattr(compare, "ic_greedy_select", lambda *a: calls.append("ic_greedy_select"))
     _path5(tmp_path)
+    (tmp_path / "nan.txt").write_text("1.0\n1.0\nnan\n1.0\n1.0\n")
     out = tmp_path / "out"
     assert main([a.format(d=tmp_path) for a in argv] + ["-o", str(out)]) == 1
     assert capsys.readouterr().err == f"kernelim: error: {message}\n"

@@ -263,6 +263,21 @@ def test_laplacian_invariants_random():
             assert np.allclose(np.diag(laplacian(g, LaplacianKind.NORMALIZED)), 1.0)
 
 
+def test_laplacian_keeps_the_bits_of_the_dense_formula():
+    # Built in place, the Laplacian must match D - A bit for bit, +0.0 off the edges included.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        g = random_graph(rng, int(rng.integers(3, 40)), edge_prob=0.2)
+        a = g.adjacency()
+        deg = a.sum(axis=1)
+        ls = np.diag(deg) - a
+        assert laplacian(g).tobytes() == ls.tobytes()
+        if np.all(deg > 0):
+            dinv = 1.0 / np.sqrt(deg)
+            ln = ls * dinv[:, None] * dinv[None, :]
+            assert laplacian(g, LaplacianKind.NORMALIZED).tobytes() == ((ln + ln.T) / 2.0).tobytes()
+
+
 def test_zero_eigenvalue_multiplicity_equals_components():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -28,7 +28,7 @@ from kernelim.errors import (
     KernelSpecError,
     SplineSingularityError,
 )
-from kernelim.kernels import rkhs_inner
+from kernelim.kernels import check_kernel_params, read_kernel_spec, rkhs_inner
 
 from helpers import expm_taylor, random_connected_graph
 
@@ -227,6 +227,21 @@ def test_parse_kernel_spec(two_node_spectrum, tmp_path):
             parse_kernel_spec(bad, two_node_spectrum)
     with pytest.raises(CoefficientOverflowError):
         parse_kernel_spec("diffusion:t=-500", two_node_spectrum)  # finite, but exp(1000) overflows
+
+
+def test_kernel_params_are_checked_without_a_spectrum():
+    for spec, message in [("diffusion:t=nan", "kernel parameter t=nan is not finite"),
+                          ("spline:eps=0.01,s=-inf", "kernel parameter s=-inf is not finite")]:
+        with pytest.raises(KernelSpecError, match=message):
+            read_kernel_spec(spec)
+    custom = {"coefficients": [1.0, 2.0]}
+    check_kernel_params("custom", custom)  # the length is checked once n is known
+    with pytest.raises(KernelSpecError, match="custom coefficients have length 2, expected 3"):
+        check_kernel_params("custom", custom, 3)
+    with pytest.raises(KernelSpecError, match=r"custom coefficient 1 is not finite \(inf\)"):
+        check_kernel_params("custom", {"coefficients": [1.0, np.inf]})
+    with pytest.raises(KernelSpecError, match="unknown kernel family 'heat'"):
+        check_kernel_params("heat", {})
 
 
 _PATH3_SPECTRUM = eigendecompose(laplacian(Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernelim import (
     CvSpec,
@@ -12,7 +14,7 @@ from kernelim import (
 )
 from kernelim.errors import KernelimError
 
-from helpers import cv_oracle, random_connected_graph
+from helpers import cv_oracle, log_grid_oracle, random_connected_graph
 
 
 def test_log_grid_wide_eps_interval():
@@ -52,6 +54,24 @@ def test_log_grid_validation():
         log_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError):
         log_grid(1.0, 10.0, 0)
+
+
+_MAGNITUDE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=_MAGNITUDE, hi=_MAGNITUDE, sign=st.sampled_from([1.0, -1.0]), count=st.integers(1, 60))
+@example(lo=1e2, hi=1e-2, sign=-1.0, count=25)     # the default t grid
+@example(lo=1e-16, hi=1e0, sign=1.0, count=25)     # the default eps grid
+@example(lo=1e1, hi=1e-1, sign=-1.0, count=25)     # the default s grid
+@example(lo=1e-16, hi=1e0, sign=1.0, count=12)
+@example(lo=1e1, hi=1e-1, sign=-1.0, count=12)
+def test_log_grid_matches_the_hand_written_formula(lo, hi, sign, count):
+    # Near the float maximum both overflow in 10**log10(hi) before hi is written back.
+    with np.errstate(over="ignore"):
+        got = log_grid(sign * lo, sign * hi, count)
+        want = log_grid_oracle(sign * lo, sign * hi, count)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_kfold_partition_properties():
