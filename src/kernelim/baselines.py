@@ -22,7 +22,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import ConvergenceError
-from .graphs import Graph
+from .graphs import Graph, top_n
 
 DEFAULT_DAMPING = 0.85
 
@@ -210,12 +210,10 @@ def pagerank(
     """
     check_damping(damping)
     n = g.n
-    a = g.adjacency()
-    deg = a.sum(axis=1)
+    trans = g.adjacency()
+    deg = trans.sum(axis=1)
     dangling = deg == 0
-    trans = np.zeros((n, n))
-    nz = ~dangling
-    trans[nz] = a[nz] / deg[nz, None]
+    trans /= np.where(dangling, 1.0, deg)[:, None]  # D^-1 A in place; a dangling row stays zero
 
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
@@ -229,8 +227,4 @@ def pagerank(
 
 def pagerank_top_n(g: Graph, n_sel: int, damping: float = DEFAULT_DAMPING) -> list[int]:
     """Top nodes by PageRank score, ties broken by ascending id."""
-    if not 1 <= n_sel <= g.n:
-        raise ValueError(f"n_sel must be in 1..{g.n}, got {n_sel}")
-    scores = pagerank(g, damping=damping)
-    order = np.lexsort((np.arange(g.n), -scores))
-    return [int(i) for i in order[:n_sel]]
+    return top_n(pagerank(g, damping=damping), n_sel)

@@ -40,7 +40,7 @@ from .kernels import (
     read_kernel_spec,
 )
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
-from .plots import selection_svg
+from .plots import check_positions, selection_svg
 from .spectral import eigendecompose
 from .tuning import CV_METRICS, CvSpec, check_folds, grid_search, log_grid
 
@@ -149,6 +149,8 @@ def cmd_select(args) -> int:
     config = SelectorConfig(budget=args.budget, initial=initial, tolerance=args.tol)
     family, params = _read_kernel(args)
     graph = load_graph(args.graph)
+    if args.svg:
+        check_positions(graph)
     config.check(graph.n)
     check_kernel_params(family, params, graph.n)
     spectrum, kind = _spectrum(graph, args)
@@ -161,11 +163,9 @@ def cmd_select(args) -> int:
         "laplacian": kind.value,
         "tolerance": args.tol,
     }
-    # Render before writing anything, so a graph without positions leaves no file.
-    svg = selection_svg(graph, np.sqrt(np.maximum(state.p2, 0.0)), state.chosen) if args.svg else None
     _write_json(args.out, payload)
-    if svg is not None:
-        _write_text(args.svg, svg)
+    if args.svg:
+        _write_text(args.svg, selection_svg(graph, np.sqrt(np.maximum(state.p2, 0.0)), state.chosen))
     print(f"wrote {args.out}: {len(state.chosen)} nodes ({state.stop_reason})")
     return 0
 

@@ -57,12 +57,17 @@ class GprModel:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.nodes) != len(set(self.nodes)) or len(self.nodes) < 1:
-            raise ValueError("sampling set must be nonempty with distinct nodes")
+        check_sampling_set(self.nodes)
+
+
+def check_sampling_set(nodes) -> None:
+    if len(nodes) != len(set(nodes)) or len(nodes) < 1:
+        raise ValueError("sampling set must be nonempty with distinct nodes")
 
 
 def fit(spectrum: Spectrum, kernel: GbfKernel, nodes, values, sigma2: float = 0.0) -> GprModel:
     nodes = tuple(int(v) for v in nodes)
+    check_sampling_set(nodes)  # before the solve, which fails on a repeated node at sigma2 = 0
     values = np.asarray(values, dtype=float)
     k_w = kernel_matrix(spectrum, kernel, nodes, nodes)
     coeff = fit_coefficients(k_w, values, sigma2)

@@ -108,12 +108,6 @@ class Graph:
         return d
 
 
-def _map_labels(tokens: list[str]) -> dict[str, int]:
-    # Numeric token sets sort numerically so plain 0-based files map to themselves.
-    uniq = sorted(set(tokens), key=(lambda t: int(t)) if all(t.lstrip("-").isdigit() for t in tokens) else None)
-    return {t: i for i, t in enumerate(uniq)}
-
-
 def _parse_edge_list(text: str) -> Graph:
     raw = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -135,7 +129,11 @@ def _parse_edge_list(text: str) -> Graph:
         raw.append((lineno, tokens[0], tokens[1], w))
     if not raw:
         raise GraphFormatError("edge list contains no edges")
-    ids = _map_labels([t for _, u, v, _ in raw for t in (u, v)])
+    tokens = [t for _, u, v, _ in raw for t in (u, v)]
+    # Numeric token sets sort by (value, text): 0-based files map to themselves, "0" before "00".
+    numeric = all(t.removeprefix("-").isdecimal() for t in tokens)
+    labels = tuple(sorted(set(tokens), key=(lambda t: (int(t), t)) if numeric else None))
+    ids = {t: i for i, t in enumerate(labels)}
     edges = []
     seen = set()
     for lineno, u, v, w in raw:
@@ -145,7 +143,6 @@ def _parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({u},{v})")
         seen.add(key)
         edges.append((key[0], key[1], w))
-    labels = tuple(sorted(ids, key=ids.get))
     if labels == tuple(str(i) for i in range(len(labels))):
         labels = None
     return Graph(n=len(ids), edges=tuple(edges), labels=labels)
@@ -345,10 +342,13 @@ def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndar
     raise ValueError(f"unknown Laplacian kind {kind!r}")
 
 
+def top_n(scores: np.ndarray, n_sel: int) -> list[int]:
+    """The `n_sel` nodes of highest score, ties broken by ascending id."""
+    if not 1 <= n_sel <= len(scores):
+        raise ValueError(f"n_sel must be in 1..{len(scores)}, got {n_sel}")
+    return [int(i) for i in np.argsort(-scores, kind="stable")[:n_sel]]
+
+
 def degree_top_n(g: Graph, n_sel: int) -> list[int]:
     """Nodes by descending weighted degree, ties broken by ascending id."""
-    if not 1 <= n_sel <= g.n:
-        raise ValueError(f"n_sel must be in 1..{g.n}, got {n_sel}")
-    deg = g.degrees()
-    order = np.lexsort((np.arange(g.n), -deg))
-    return [int(i) for i in order[:n_sel]]
+    return top_n(g.degrees(), n_sel)

@@ -19,7 +19,7 @@ from .errors import (
     SplineSingularityError,
 )
 from .graphs import read_float
-from .spectral import Spectrum
+from .spectral import Spectrum, gft
 
 DIFFUSION = "diffusion"
 SPLINE = "spline"
@@ -181,8 +181,7 @@ def rkhs_inner(kernel: GbfKernel, spectrum: Spectrum, x: np.ndarray, y: np.ndarr
     """Native-space inner product sum_k x_k y_k / f_k (positive definite only)."""
     if not kernel.is_positive_definite:
         raise IndefiniteKernelError("native-space inner product needs all coefficients > 0")
-    u = spectrum.eigenvectors
-    return float(np.sum((u.T @ np.asarray(x, float)) * (u.T @ np.asarray(y, float)) / kernel.coefficients))
+    return float(np.sum(gft(spectrum, x) * gft(spectrum, y) / kernel.coefficients))
 
 
 def rkhs_norm(kernel: GbfKernel, spectrum: Spectrum, x: np.ndarray) -> float:

@@ -27,6 +27,11 @@ def _color(t: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
+def check_positions(graph: Graph) -> None:
+    if graph.positions is None:
+        raise ValueError("graph has no node positions; nothing to plot")
+
+
 def selection_svg(
     graph: Graph,
     values: np.ndarray,
@@ -36,8 +41,7 @@ def selection_svg(
     radius: float = 5.0,
 ) -> str:
     """Scatter of node positions colored by `values`, chosen nodes circled."""
-    if graph.positions is None:
-        raise ValueError("graph has no node positions; nothing to plot")
+    check_positions(graph)
     values = np.asarray(values, dtype=float)
     pos = graph.positions
     lo = pos.min(axis=0)

@@ -69,9 +69,4 @@ def gft(s: Spectrum, x: np.ndarray, direction: str = "forward") -> np.ndarray:
 
 def convolve(s: Spectrum, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Generalized convolution: filter x by the Fourier coefficients of y."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != (s.n,) or x.shape != (s.n,):
-        raise ValueError(f"both signals must have length n={s.n}")
-    u = s.eigenvectors
-    return u @ ((u.T @ y) * (u.T @ x))
+    return gft(s, gft(s, y) * gft(s, x), "inverse")

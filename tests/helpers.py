@@ -11,6 +11,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 from kernelim import Graph, laplacian
+from kernelim.errors import ConvergenceError
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.15, weight_lo=0.5, weight_hi=1.5,
@@ -134,6 +135,44 @@ def pagerank_oracle(g: Graph, damping: float) -> np.ndarray:
         m[i] = a[i] / deg[i] if deg[i] > 0 else 1.0 / g.n
     x = np.linalg.solve(np.eye(g.n) - damping * m.T, np.full(g.n, (1 - damping) / g.n))
     return x / x.sum()
+
+
+def pagerank_copy_oracle(g: Graph, damping: float, tol: float = 1e-9, max_iter: int = 1000) -> np.ndarray:
+    """The power iteration `pagerank` once ran, with D^-1 A built as a second
+    matrix: a zeros matrix, a row mask and a fancy-indexed copy."""
+    n = g.n
+    a = g.adjacency()
+    deg = a.sum(axis=1)
+    dangling = deg == 0
+    trans = np.zeros((n, n))
+    nz = ~dangling
+    trans[nz] = a[nz] / deg[nz, None]
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        x_new = damping * (trans.T @ x + x[dangling].sum() / n) + (1.0 - damping) / n
+        x_new /= x_new.sum()
+        if np.abs(x_new - x).sum() < tol:
+            return x_new
+        x = x_new
+    raise ConvergenceError(f"pagerank did not converge within {max_iter} iterations")
+
+
+def random_graph_with_isolated_nodes(rng, n):
+    """Random weighted graph on n nodes in which at least one node has no edge.
+
+    Half the graphs draw integer weights 1..3, so equal degrees and equal
+    PageRank scores are common.
+    """
+    isolated = set(rng.choice(n, size=int(rng.integers(1, n // 2 + 2)), replace=False).tolist())
+    prob = rng.uniform(0.05, 0.5)
+    integer = rng.random() < 0.5
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u not in isolated and v not in isolated and rng.random() < prob:
+                w = float(rng.integers(1, 4)) if integer else float(rng.uniform(0.01, 10.0))
+                edges.append((u, v, w))
+    return Graph(n=n, edges=tuple(edges))
 
 
 def ic_live_digraph(g: Graph, p: float, key) -> scipy.sparse.csr_matrix:

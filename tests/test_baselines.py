@@ -6,6 +6,7 @@ from kernelim import (
     Graph,
     ICConfig,
     baselines,
+    degree_top_n,
     ic_greedy_select,
     ic_score,
     ic_spread,
@@ -19,8 +20,10 @@ from helpers import (
     component_of,
     ic_live_digraph,
     ic_reach_oracle,
+    pagerank_copy_oracle,
     pagerank_oracle,
     random_connected_graph,
+    random_graph_with_isolated_nodes,
     reach_oracle,
 )
 
@@ -267,6 +270,25 @@ def test_pagerank_non_convergence():
     g = random_connected_graph(rng, 15)
     with pytest.raises(ConvergenceError):
         pagerank(g, tol=1e-15, max_iter=2)
+
+
+@pytest.mark.parametrize("damping", [0.5, 0.85, 0.99])
+def test_pagerank_keeps_the_bits_of_the_copied_transition_matrix(damping):
+    # pagerank scales the adjacency in place; the oracle builds D^-1 A as a second matrix.
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        g = random_graph_with_isolated_nodes(rng, int(rng.integers(2, 40)))
+        try:
+            expected = pagerank_copy_oracle(g, damping)
+        except ConvergenceError:  # slow mixing at damping 0.99: both give up alike
+            with pytest.raises(ConvergenceError):
+                pagerank_top_n(g, 1, damping)
+            continue
+        assert pagerank(g, damping=damping).tobytes() == expected.tobytes()
+        ids = np.arange(g.n)
+        for k in (1, int(rng.integers(1, g.n + 1)), g.n):
+            assert pagerank_top_n(g, k, damping) == np.lexsort((ids, -expected))[:k].tolist()
+            assert degree_top_n(g, k) == np.lexsort((ids, -g.degrees()))[:k].tolist()
 
 
 def test_pagerank_top_n_ties_by_id(two_node):

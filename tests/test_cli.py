@@ -393,7 +393,9 @@ def test_compare_reports_each_failed_method_and_keeps_its_rows(tmp_path, capsys,
         assert 1 <= len(ks) < 10 and ks == list(range(1, len(ks) + 1))
 
 
-def test_select_svg_without_positions_writes_nothing(tmp_path, capsys):
+def test_select_svg_without_positions_writes_nothing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernelim.cli, "eigendecompose", lambda *a: calls.append("eigendecompose"))
     graph = _path5(tmp_path)
     out, svg = tmp_path / "sel.json", tmp_path / "sel.svg"
     code = main(["select", "--graph", str(graph), "--kernel", "diffusion:t=-1",
@@ -401,6 +403,7 @@ def test_select_svg_without_positions_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert "kernelim: error: graph has no node positions" in capsys.readouterr().err
     assert not out.exists() and not svg.exists()
+    assert calls == []  # refused from the graph alone, before the eigensolver
 
 
 def test_cli_import_loads_no_scipy_sparse():
@@ -562,6 +565,14 @@ _TUNE_PATH5 = ["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--t
     (_TUNE_PATH5 + ["--t-grid=-1:-2:0"], "count must be at least 1"),
     (_TUNE_PATH5 + ["--kernel", "spline", "--t-grid=0:1:3"],
      "grid endpoints must be nonzero with equal signs, got [0.0, 1.0]"),
+    (["gen", "--kind", "points"], "--kind points requires --points-file"),
+    (["spectrum", "--graph", "{d}/four.txt"], "line 1: expected 'u v [w]', got 4 fields"),
+    (["spectrum", "--graph", "{d}/comments.txt"], "edge list contains no edges"),
+    (["spectrum", "--graph", "{d}/nope.json"],
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["spectrum", "--graph", "{d}/empty.json"], "graph needs at least one node"),
+    (_SELECT_PATH5 + ["--initial", "1,1"], "initial set contains duplicate nodes"),
+    (_COMPARE_PATH5 + ["--seed", "-1"], "master_seed must be nonnegative"),
     *[(base + extra, message) for base in (_SELECT_PATH5, _COMPARE_PATH5) for extra, message in [
         (["--kernel", "diffusion:t=x"],
          "bad kernel spec 'diffusion:t=x': could not convert string to float: 'x'"),
@@ -578,6 +589,8 @@ _TUNE_PATH5 = ["tune", "--graph", "{d}/path5.txt", "--kernel", "diffusion", "--t
         "tune-grid", "tune-jitter", "tune-folds-0", "tune-folds-6",
         "select-budget-over-n", "select-initial-out-of-range", "compare-tol", "compare-tol-no-kernel",
         "tune-grid-sign", "tune-grid-count", "tune-grid-unused-parameter",
+        "gen-points-without-file", "edge-list-four-fields", "edge-list-comments-only", "json-syntax",
+        "json-no-nodes", "select-initial-duplicate", "compare-negative-seed",
         *[f"{command}-{case}" for command in ("select", "compare")
           for case in ("kernel-value", "kernel-family", "kernel-file", "clamp-spectrum",
                        "kernel-nan", "kernel-inf", "kernel-file-nan")]])
@@ -588,6 +601,10 @@ def test_argument_errors_never_reach_the_eigensolver_or_a_selector(
     monkeypatch.setattr(compare, "ic_greedy_select", lambda *a: calls.append("ic_greedy_select"))
     _path5(tmp_path)
     (tmp_path / "nan.txt").write_text("1.0\n1.0\nnan\n1.0\n1.0\n")
+    (tmp_path / "four.txt").write_text("0 1 1.0 2\n")
+    (tmp_path / "comments.txt").write_text("# no edges\n\n")
+    (tmp_path / "nope.json").write_text("{nope")
+    (tmp_path / "empty.json").write_text('{"nodes": [], "edges": []}')
     out = tmp_path / "out"
     assert main([a.format(d=tmp_path) for a in argv] + ["-o", str(out)]) == 1
     assert capsys.readouterr().err == f"kernelim: error: {message}\n"

@@ -8,6 +8,7 @@ from kernelim import (
     eigendecompose,
     fit,
     fit_coefficients,
+    gpr,
     kernel_matrix,
     laplacian,
     power_direct,
@@ -165,6 +166,17 @@ def test_bad_sigma2_refused_by_both_solves(two_node_spectrum, sigma2):
         fit_coefficients(np.eye(2), np.ones(2), sigma2=sigma2)
     with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
         power_direct(two_node_spectrum, kern, [0], sigma2=sigma2)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.1])
+def test_fit_refuses_a_repeated_node_before_the_solve(two_node_spectrum, monkeypatch, sigma2):
+    # At sigma2 = 0 the solve would fail first, as a numerical error advising --jitter.
+    kern = diffusion_kernel(two_node_spectrum, t=-1.0)
+    calls = []
+    monkeypatch.setattr(gpr, "kernel_matrix", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="sampling set must be nonempty with distinct nodes"):
+        fit(two_node_spectrum, kern, [0, 0], [1.0, 1.0], sigma2=sigma2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 1e-3])

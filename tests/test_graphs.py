@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernelim
 from kernelim import (
     Graph,
     LaplacianKind,
@@ -17,7 +22,7 @@ from kernelim import (
     uniform_points,
 )
 from kernelim.errors import GraphFormatError
-from kernelim.graphs import read_float, read_int
+from kernelim.graphs import read_float, read_int, top_n
 
 from helpers import component_count, random_graph
 
@@ -71,6 +76,30 @@ def test_edge_list_comments_and_labels(tmp_path):
     assert g.n == 3
     assert g.labels == ("alice", "bob", "carol")
     assert g.edges == ((0, 1, 2.0), (1, 2, 1.0))
+
+
+def test_edge_list_ids_do_not_depend_on_the_hash_seed(tmp_path):
+    # "0" and "00" have one value, so only their text can order them; set order changes with PYTHONHASHSEED.
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n00 1\n1 2\n")
+    probe = f"from kernelim import load_graph; g = load_graph({str(path)!r}); print(g.labels, g.edges)"
+    src = str(Path(kernelim.__file__).parents[1])
+    outputs = {
+        subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    }
+    assert outputs == {"('0', '00', '1', '2') ((0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0))\n"}
+
+
+@pytest.mark.parametrize("text, labels", [("\u00b2 2\n", ("2", "\u00b2")), ("--1 2\n", ("--1", "2"))],
+                         ids=["superscript-two", "double-minus"])
+def test_edge_list_tokens_int_cannot_read_are_labels(tmp_path, text, labels):
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    g = load_graph(path)
+    assert g.labels == labels
+    assert g.edges == ((0, 1, 1.0),)
 
 
 def test_non_positive_weight_rejected():
@@ -310,6 +339,16 @@ def test_degree_top_n_bounds(path3):
         degree_top_n(path3, 4)
     with pytest.raises(ValueError):
         degree_top_n(path3, 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scores=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25]), st.floats()), min_size=1, max_size=30),
+       data=st.data())
+def test_top_n_ranks_like_lexsort(scores, data):
+    # Equal scores, +0.0 against -0.0 among them, go to the smallest id first.
+    scores = np.array(scores)
+    n_sel = data.draw(st.integers(1, len(scores)))
+    assert top_n(scores, n_sel) == np.lexsort((np.arange(len(scores)), -scores))[:n_sel].tolist()
 
 
 def test_laplacian_kind_parse():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from kernelim import (
     GbfKernel,
     Graph,
     clamp_spectrum,
+    convolve,
     custom_kernel,
     diffusion_kernel,
     eigendecompose,
@@ -181,6 +184,14 @@ def test_rkhs_norm_refuses_indefinite(path3_spectrum):
     kern = custom_kernel(path3_spectrum, [1.0, 0.0, 2.0])
     with pytest.raises(IndefiniteKernelError):
         rkhs_norm(kern, path3_spectrum, np.ones(3))
+
+
+def test_signal_lengths_are_checked_by_gft(path3_spectrum):
+    kern = diffusion_kernel(path3_spectrum, t=-1.0)
+    with pytest.raises(ValueError, match=re.escape("signal length (2,) does not match n=3")):
+        convolve(path3_spectrum, np.ones(2), np.ones(3))
+    with pytest.raises(ValueError, match=re.escape("signal length (2,) does not match n=3")):
+        rkhs_inner(kern, path3_spectrum, np.ones(3), np.ones(2))
 
 
 def test_reproducing_property():
