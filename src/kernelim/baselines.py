@@ -16,6 +16,7 @@ picks are always scored out of sample.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -197,18 +198,27 @@ def check_damping(damping: float) -> None:
         raise ValueError("damping must lie strictly between 0 and 1")
 
 
-def pagerank(
-    g: Graph,
-    damping: float = DEFAULT_DAMPING,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-) -> np.ndarray:
+def iteration_cap(damping: float, tol: float) -> int:
+    """Steps after which PageRank's L1 change is surely below `tol`.
+
+    The iteration contracts by `damping` in L1 and its first change is at most
+    2, so step k changes the iterate by at most 2 * damping**k.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return max(1, math.ceil((math.log(tol) - math.log(2)) / math.log(damping)) + 1)
+
+
+def pagerank(g: Graph, damping: float = DEFAULT_DAMPING, tol: float = 1e-9) -> np.ndarray:
     """Power iteration with uniform teleport and weighted transitions.
 
     Dangling nodes redistribute their mass uniformly.  Converges when the L1
-    change between iterates drops below `tol`.
+    change between iterates drops below `tol`, which the iteration reaches
+    within `iteration_cap(damping, tol)` steps (133 at 0.85, 2132 at 0.99)
+    unless `tol` is below the rounding of the iterates.
     """
     check_damping(damping)
+    max_iter = iteration_cap(damping, tol)
     n = g.n
     trans = g.adjacency()
     deg = trans.sum(axis=1)

@@ -1,8 +1,9 @@
 """Command-line interface: gen | select | tune | compare | spectrum.
 
 All randomness flows from --seed (fixed default 0), so identical command lines
-produce byte-identical outputs at a fixed BLAS thread count on one machine;
-another thread count can break near-ties in the greedy selection differently.
+produce byte-identical outputs at a fixed BLAS thread count on one machine.
+Another thread count moves the last bits of every float output; the greedy's
+tie band keeps the selected node lists equal on the measured cases.
 Usage and input errors exit 1; numerical failures exit 2.
 """
 

@@ -22,12 +22,18 @@ DEFAULT_TOLERANCE = 1e-12
 # exhausted; stepping on them would divide rounding noise by itself.
 PIVOT_GUARD_FACTOR = 10 * np.finfo(float).eps
 
+# A squared power short of the maximum by at most 256 eps times the largest
+# initial squared power counts as tied with it, so rounding in the eigenbasis
+# (another BLAS thread count, another eigensolver) does not pick between them.
+TIE_BAND_FACTOR = 256 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SelectorConfig:
     """Budget of new nodes, optional warm-start set, stopping tolerance.
 
-    Ties in the greedy argmax always break to the smallest node id.
+    Ties in the greedy argmax, up to a band of rounding noise, break to the
+    smallest node id.
     """
 
     budget: int
@@ -83,6 +89,18 @@ class SelectionState:
     @property
     def pivot_guard(self) -> float:
         return PIVOT_GUARD_FACTOR * self.p2_scale
+
+    def best_node(self, best: float) -> int:
+        """Smallest id whose squared power lies within the tie band of `best`,
+        the maximum of `p2`.
+
+        Nodes at or below the pivot guard never count, so a chosen node (p2 = 0)
+        is never returned even when the band reaches down to zero.  The maximum
+        must lie above the guard, as it does whenever a step is taken.
+        """
+        band = self.p2 >= best - TIE_BAND_FACTOR * self.p2_scale
+        band &= self.p2 > self.pivot_guard
+        return int(band.argmax())
 
     def max_power(self) -> float:
         return float(np.sqrt(max(self.p2.max(), 0.0)))
@@ -155,8 +173,6 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
     for w in config.initial:
         power_update_step(state, spectrum, kernel, w)
 
-    # Chosen nodes hold p2 = 0 exactly and a step needs best >= tolerance > 0,
-    # so the argmax never lands on a chosen node.
     while len(state.chosen) - len(config.initial) < config.budget:
         best = float(state.p2.max())
         if best < config.tolerance:
@@ -168,7 +184,6 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
         if best <= state.pivot_guard:
             state.stop_reason = "numerical-exhaustion"
             return state
-        w = int(np.argmax(state.p2))  # first maximum = smallest id among ties
-        power_update_step(state, spectrum, kernel, w)
+        power_update_step(state, spectrum, kernel, state.best_node(best))
     state.stop_reason = "budget"
     return state

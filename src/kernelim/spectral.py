@@ -30,26 +30,33 @@ class Spectrum:
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # First entry above the zero threshold is made positive so repeated runs
-    # produce identical bases.
-    u = u.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        nz = np.nonzero(np.abs(col) > SIGN_ZERO_THRESHOLD)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, k] = -col
+    # produce identical bases.  Returns a C-ordered copy; no n x n float
+    # temporary is built, and negation is exact.
+    big = (u > SIGN_ZERO_THRESHOLD) | (u < -SIGN_ZERO_THRESHOLD)
+    cols = np.arange(u.shape[1])
+    first = big.argmax(axis=0)  # 0 for a column with no entry above the threshold
+    flip = big[first, cols] & (u[first, cols] < 0)
+    u = np.array(u, order="C")
+    np.negative(u, out=u, where=flip)
     return u
 
 
 def eigendecompose(lap: np.ndarray) -> Spectrum:
-    """Full dense eigendecomposition with a deterministic sign convention."""
-    lap = np.asarray(lap, dtype=float)
+    """Full dense eigendecomposition with a deterministic sign convention.
+
+    LAPACK's divide-and-conquer driver reads the upper triangle of `lap`
+    (the lower triangle of its transpose, an F-ordered view) and works in
+    `lap`'s own buffer, so a writeable float array passed in is used up: it
+    holds garbage afterwards.  Pass a copy to keep it.
+    """
+    lap = np.require(lap, dtype=float, requirements="W")  # copies a read-only input
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {lap.shape}")
     scale = max(1.0, float(np.max(np.abs(lap))) if lap.size else 1.0)
     if float(np.max(np.abs(lap - lap.T))) > 1e-10 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-10")
     try:
-        lam, u = scipy.linalg.eigh(lap)
+        lam, u = scipy.linalg.eigh(lap.T, overwrite_a=True, driver="evd")
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense symmetric eigensolver failed: {exc}") from None
     return Spectrum(eigenvalues=lam, eigenvectors=_fix_signs(u))

@@ -11,6 +11,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 from kernelim import Graph, laplacian
+from kernelim.baselines import iteration_cap
 from kernelim.errors import ConvergenceError
 
 
@@ -137,9 +138,10 @@ def pagerank_oracle(g: Graph, damping: float) -> np.ndarray:
     return x / x.sum()
 
 
-def pagerank_copy_oracle(g: Graph, damping: float, tol: float = 1e-9, max_iter: int = 1000) -> np.ndarray:
+def pagerank_copy_oracle(g: Graph, damping: float, tol: float = 1e-9) -> np.ndarray:
     """The power iteration `pagerank` once ran, with D^-1 A built as a second
     matrix: a zeros matrix, a row mask and a fancy-indexed copy."""
+    max_iter = iteration_cap(damping, tol)
     n = g.n
     a = g.adjacency()
     deg = a.sum(axis=1)
@@ -212,3 +214,14 @@ def log_grid_oracle(lo: float, hi: float, count: int) -> np.ndarray:
     vals = sign * 10.0 ** np.linspace(np.log10(abs(lo)), np.log10(abs(hi)), count)
     vals[0], vals[-1] = lo, hi
     return vals
+
+
+def fix_signs_loop(u: np.ndarray) -> np.ndarray:
+    """The per-column sign rule `spectral._fix_signs` once ran as a Python loop."""
+    u = u.copy()
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, k] = -col
+    return u

@@ -150,7 +150,7 @@ def test_criterion_4_kernel_correctness():
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(4, 21)), weight_lo=0.2, weight_hi=1.0)
         lap = laplacian(g)
-        s = eigendecompose(lap)
+        s = eigendecompose(lap.copy())
         t = float(rng.uniform(-10.0, 10.0))
         k = kernel_matrix(s, diffusion_kernel(s, t))
         oracle = expm_taylor(-t * lap)
@@ -186,7 +186,7 @@ def test_criterion_5_spectral_suite():
         n = int(rng.integers(4, 40))
         g = random_graph(rng, n, edge_prob=0.12)
         lap = laplacian(g)
-        s = eigendecompose(lap)
+        s = eigendecompose(lap.copy())
         u = s.eigenvectors
         ortho = max(ortho, float(np.abs(u.T @ u - np.eye(n)).max()))
         x = rng.normal(size=n)

@@ -299,14 +299,14 @@ def test_compare_golden_hash(tmp_path):
                  "--ic-runs", "50", "--seed", "0", "-o", str(report)]) == 0
     lines = report.read_bytes().splitlines(keepends=True)
     assert hashlib.sha256(b"".join(lines)).hexdigest() == (
-        "752708f38d9ab39f0d6167aae2fbd59691a2b59e55c4394778074da8cf025954")
+        "5d31b7b5174a99c011c5fc3d55327ee2621a622abc5d09f208aa578ae580f7cc")
     assert hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"ic,"))).hexdigest() == (
-        "80ebf246ca77f4a451d8e205a860ef6222be495d986fc0ad3113b3e6046000ca")
+        "ab912c8615fc9398d06027f3e920e3bec18e1d08d9a873ef1e51a7557f6c7595")
 
 
 @pytest.mark.parametrize("jitter, digest", [
-    ("0", "f8eea7055c41235741f17ce38a35bda23d15f5d80e14262927ecfd3d5fe678c3"),
-    ("1e-3", "77c8542f19290d0fec21fca213f69205f65c276c4a3c6a7976b529f55f15660a"),
+    ("0", "41cb841bcc525563762de57a953bb9a46f3bd837451d87570cedd7d152bda0a6"),
+    ("1e-3", "6ef827956cf6d1be458a700f54c60cf1697d4a51856e1fb8d81875eae35f0204"),
 ], ids=["jitter-0", "jitter-1e-3"])
 def test_tune_golden_hash(tmp_path, jitter, digest):
     # Desk-scale graph and a 36-point spline grid, so a change to any bit of the
@@ -321,6 +321,41 @@ def test_tune_golden_hash(tmp_path, jitter, digest):
     assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
 
 
+def _run_at_blas_threads(threads, argv, cwd):
+    # BLAS reads its thread count at load time, so the count is set in a child.
+    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "MKL_NUM_THREADS": str(threads)}
+    subprocess.run([sys.executable, "-m", "kernelim.cli", *argv], env=env, cwd=cwd,
+                   capture_output=True, check=True)
+
+
+def test_select_golden_hash(tmp_path):
+    # Desk-scale graph, recorded and run with one BLAS thread.
+    assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
+                 "-o", str(tmp_path / "graph.json")]) == 0
+    _run_at_blas_threads(1, ["select", "--graph", "graph.json", "--laplacian", "normalized",
+                             "--kernel", "diffusion:t=-10", "--budget", "20", "-o", "sel.json"],
+                         tmp_path)
+    assert hashlib.sha256((tmp_path / "sel.json").read_bytes()).hexdigest() == (
+        "6a949490b65b54a4ee5be3c7016722638d0def59d495344b80fc8dc536ae4cad")
+
+
+def test_select_nodes_agree_across_blas_thread_counts(tmp_path):
+    # The spline kernel's diagonal is constant in exact arithmetic here, so every
+    # pick is a near-tie that rounding in the eigenbasis would otherwise break.
+    assert main(["gen", "--nodes", "1200", "--link-radius", "0.06", "--seed", "7",
+                 "-o", str(tmp_path / "graph.json")]) == 0
+    nodes = []
+    for threads in (1, 2):
+        out = f"sel{threads}.json"
+        _run_at_blas_threads(threads, ["select", "--graph", "graph.json", "--kernel",
+                                       "spline:eps=0.01,s=-1", "--budget", "200", "-o", out],
+                             tmp_path)
+        nodes.append(json.loads((tmp_path / out).read_text())["nodes"])
+    assert nodes[0] == nodes[1]
+
+
 def test_compare_kernel_nodes_match_select(tmp_path, sensor_graph):
     sel = tmp_path / "sel.json"
     rep = tmp_path / "rep.csv"
@@ -332,6 +367,18 @@ def test_compare_kernel_nodes_match_select(tmp_path, sensor_graph):
     with open(rep, newline="") as fh:
         nodes = [int(r["node_id"]) for r in csv.DictReader(fh)]
     assert nodes == json.loads(sel.read_text())["nodes"]
+
+
+def test_compare_writes_pagerank_rows_at_high_damping(tmp_path, capsys):
+    # The 5-node path is bipartite, so PageRank's L1 change shrinks only by the
+    # damping per step; at 0.99 that takes about 2100 steps.
+    out = tmp_path / "r.csv"
+    assert main(["compare", "--graph", str(_path5(tmp_path)), "--kernel", "diffusion:t=-1",
+                 "--budget", "2", "--methods", "pagerank,degree", "--pr-damping", "0.99",
+                 "--ic-runs", "5", "-o", str(out)]) == 0
+    assert "failed" not in capsys.readouterr().err
+    with open(out, newline="") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["pagerank"] * 2 + ["degree"] * 2
 
 
 def test_compare_unknown_method_exits_1(tmp_path, capsys, sensor_graph):

@@ -3,12 +3,14 @@ import pytest
 import scipy.linalg
 
 from kernelim import (
+    Spectrum,
     custom_kernel,
     diffusion_kernel,
     eigendecompose,
     fit,
     fit_coefficients,
     gpr,
+    kernel_diag,
     kernel_matrix,
     laplacian,
     power_direct,
@@ -153,10 +155,33 @@ def test_power_indefinite_kernel_raises(two_node_spectrum):
         power_direct(two_node_spectrum, kern, [0])
 
 
-def test_power_singular_submatrix_raises(path3_spectrum):
-    kern = custom_kernel(path3_spectrum, [1.0, 0.0, 0.0])  # rank 1
+def test_singular_submatrix_raises():
+    # Cholesky of [[1, 1], [1, 1]] meets the exact pivot 1 - 1 = 0.
     with pytest.raises(NotPositiveDefiniteError):
-        power_direct(path3_spectrum, kern, [0, 1])
+        fit_coefficients(np.ones((2, 2)), np.ones(2))
+
+
+def test_power_singular_submatrix_raises():
+    # Half a 4 x 4 Hadamard matrix is an exactly orthonormal basis, so the
+    # rank-1 kernel u0 u0^T is 0.25 in every entry and K_W is exactly singular.
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    spectrum = Spectrum(eigenvalues=np.arange(4.0), eigenvectors=hadamard)
+    kern = custom_kernel(spectrum, [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NotPositiveDefiniteError):
+        power_direct(spectrum, kern, [0, 1])
+
+
+def test_power_on_a_rank_one_kernel_raises_or_stays_at_rounding(path3_spectrum):
+    # K = u0 u0^T is singular on any two nodes in exact arithmetic, but the
+    # rounded entries of u0 can leave K_W a pivot of order eps; the solve may
+    # then succeed, and every std it returns is rounding noise.
+    kern = custom_kernel(path3_spectrum, [1.0, 0.0, 0.0])
+    try:
+        std = power_direct(path3_spectrum, kern, [0, 1])
+    except NotPositiveDefiniteError:
+        return
+    bound = np.sqrt(np.finfo(float).eps) * np.sqrt(kernel_diag(path3_spectrum, kern).max())
+    assert std.max() <= bound
 
 
 @pytest.mark.parametrize("sigma2", [-0.5, float("nan"), float("inf")])

@@ -18,7 +18,7 @@ from kernelim import (
     spline_kernel,
 )
 from kernelim.errors import IndefiniteKernelError, ZeroPivotError
-from kernelim.pgreedy import new_state
+from kernelim.pgreedy import TIE_BAND_FACTOR, SelectionState, new_state
 
 from helpers import random_connected_graph
 
@@ -180,6 +180,38 @@ def test_budget_infeasible(path3_spectrum):
         select_nodes(path3_spectrum, kern, SelectorConfig(budget=3, initial=(0,)))
     with pytest.raises(ValueError):
         SelectorConfig(budget=0)
+
+
+def _state(p2):
+    return SelectionState(chosen=[], basis=np.zeros((0, 0)), p2=np.array(p2),
+                          residual=np.ones(len(p2)), p2_scale=1.0)
+
+
+def test_best_node_takes_the_smallest_id_within_the_tie_band():
+    band = TIE_BAND_FACTOR
+    assert _state([1.0 - 0.5 * band, 1.0, 1.0]).best_node(1.0) == 0
+    assert _state([1.0 - 2.0 * band, 1.0, 1.0]).best_node(1.0) == 1
+
+
+def test_best_node_is_never_a_chosen_node():
+    # The band (256 eps) reaches below the pivot guard (10 eps), so with the
+    # maximum at 100 eps it covers p2 = 0; chosen nodes hold exactly that.
+    eps = np.finfo(float).eps
+    state = _state([0.0, 5.0 * eps, 0.0, 100.0 * eps, 99.0 * eps])
+    state.chosen = [0, 2]
+    assert state.best_node(100.0 * eps) == 3
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        p2 = rng.uniform(0.0, 300.0, 12) * eps
+        p2[rng.integers(12)] = 300.0 * eps  # a step is taken only above the guard
+        chosen = sorted(rng.choice(np.flatnonzero(p2 < 300.0 * eps), size=int(rng.integers(1, 11)),
+                                   replace=False).tolist())
+        p2[chosen] = 0.0
+        state = _state(p2)
+        w = state.best_node(p2.max())
+        assert w not in chosen and p2[w] > state.pivot_guard
+        assert p2[w] >= p2.max() - TIE_BAND_FACTOR
+        assert not np.any((p2[:w] >= p2.max() - TIE_BAND_FACTOR) & (p2[:w] > state.pivot_guard))
 
 
 def test_tolerance_stop_before_budget():

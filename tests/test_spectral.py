@@ -11,8 +11,9 @@ from kernelim import (
     laplacian,
 )
 from kernelim.errors import NotSymmetricError
+from kernelim.spectral import _fix_signs
 
-from helpers import random_connected_graph
+from helpers import fix_signs_loop, random_connected_graph
 
 SQ2 = np.sqrt(2.0)
 
@@ -54,7 +55,7 @@ def test_spectrum_invariants_random():
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(3, 40)))
         lap = laplacian(g)
-        s = eigendecompose(lap)
+        s = eigendecompose(lap.copy())
         u = s.eigenvectors
         assert np.abs(u.T @ u - np.eye(g.n)).max() <= 1e-9
         assert np.abs((u * s.eigenvalues) @ u.T - lap).max() <= 1e-8 * max(1.0, np.abs(lap).max())
@@ -65,9 +66,37 @@ def test_eigendecompose_deterministic():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 25)
     lap = laplacian(g, LaplacianKind.NORMALIZED)
-    s1, s2 = eigendecompose(lap), eigendecompose(lap)
-    assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
-    assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+    s1, s2 = eigendecompose(lap.copy()), eigendecompose(lap.copy())
+    lap.flags.writeable = False
+    s3 = eigendecompose(lap)  # a read-only input is copied, not used up
+    assert np.array_equal(lap, laplacian(g, LaplacianKind.NORMALIZED))
+    for s in (s2, s3):
+        assert s.eigenvalues.tobytes() == s1.eigenvalues.tobytes()
+        assert s.eigenvectors.tobytes() == s1.eigenvectors.tobytes()
+        assert s.eigenvectors.flags.c_contiguous
+
+
+def test_only_the_upper_triangle_is_read():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((6, 6))
+    upper = np.triu(a) + np.triu(a, 1).T
+    skewed = upper.copy()
+    skewed[np.tril_indices(6, -1)] += 1e-12  # within the symmetry check
+    s, ref = eigendecompose(skewed), eigendecompose(upper)
+    assert s.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert s.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+
+def test_fix_signs_matches_the_column_loop():
+    rng = np.random.default_rng(5)
+    for trial in range(50):
+        u = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 20))))
+        u *= rng.choice([1.0, 1e-13], size=u.shape)  # entries on both sides of the threshold
+        u[:, int(rng.integers(u.shape[1]))] = 0.0
+        if trial % 2:
+            u = np.asfortranarray(u)
+        out = _fix_signs(u)
+        assert out.tobytes() == fix_signs_loop(u).tobytes() and out.flags.c_contiguous
 
 
 def test_gft_first_mode(two_node_spectrum):
