@@ -31,6 +31,9 @@ FAMILY_PARAMETERS = {DIFFUSION: ("t",), SPLINE: ("eps", "s")}
 
 DEFAULT_CLAMP_FLOOR = 1e-14
 
+# Side of the square blocks in which the full kernel matrix is symmetrized.
+SYMMETRIZE_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class GbfKernel:
@@ -154,14 +157,32 @@ def _check_nodes(nodes, n: int) -> np.ndarray:
     return idx
 
 
+def _symmetrize(k: np.ndarray) -> None:
+    # k <- (k + k.T) / 2 in place, one pair of mirrored blocks at a time, so
+    # no n x n temporary is built.  Each entry gets the same two operands as
+    # in the whole-matrix formula, so the bits are the same.
+    n = k.shape[0]
+    for i in range(0, n, SYMMETRIZE_BLOCK):
+        for j in range(i, n, SYMMETRIZE_BLOCK):
+            a = k[i : i + SYMMETRIZE_BLOCK, j : j + SYMMETRIZE_BLOCK]
+            b = k[j : j + SYMMETRIZE_BLOCK, i : i + SYMMETRIZE_BLOCK]
+            m = (a + b.T) / 2.0
+            a[...] = m
+            b[...] = m.T
+
+
 def kernel_matrix(spectrum: Spectrum, kernel: GbfKernel, rows=None, cols=None) -> np.ndarray:
-    """Kernel (sub)matrix from the Mercer sum; `None` selects all nodes."""
+    """Kernel (sub)matrix from the Mercer sum; `None` selects all nodes.
+
+    The full matrix is exactly symmetric under rounding, so its row w is its
+    column w.
+    """
     u = spectrum.eigenvectors
     ur = u if rows is None else u[_check_nodes(rows, spectrum.n)]
     uc = u if cols is None else u[_check_nodes(cols, spectrum.n)]
     k = (ur * kernel.coefficients) @ uc.T
     if rows is None and cols is None:
-        k = (k + k.T) / 2.0  # exact symmetry under rounding
+        _symmetrize(k)
     return k
 
 

@@ -1,9 +1,11 @@
 """Greedy node selection by maximal posterior standard deviation.
 
 Each step adds the node with the largest current squared power, then updates
-all powers through one new Newton-basis column in O(n * k).  A residual of the
-constant-1 validation signal is maintained through the same triangular
-recursion and both quantities feed the stopping rule.
+all powers through one new Newton-basis column in O(n * k).  The column starts
+from a row of the dense kernel matrix, built once per selection (pivoted
+Cholesky in Newton-basis form).  A residual of the constant-1 validation signal
+is maintained through the same triangular recursion and both quantities feed
+the stopping rule.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndefiniteKernelError, ZeroPivotError
-from .kernels import GbfKernel, kernel_column, kernel_diag
+from .kernels import (
+    GbfKernel,
+    kernel_column,  # noqa: F401  (unused here; perfbench's span kernels.kernel_column looks it up in this module)
+    kernel_diag,
+    kernel_matrix,
+)
 from .spectral import Spectrum
 
 DEFAULT_TOLERANCE = 1e-12
@@ -71,9 +78,11 @@ class StepRecord:
 
 @dataclass
 class SelectionState:
-    """Running state of a selection: chosen nodes, Newton basis, powers, residual."""
+    """Running state of a selection: chosen nodes, kernel matrix, Newton basis,
+    powers, residual."""
 
     chosen: list[int]
+    k: np.ndarray                 # (n, n) kernel matrix, C order, exactly symmetric
     basis: np.ndarray             # (n, n), C order; column j is the j-th Newton column
     p2: np.ndarray                # current squared power per node
     residual: np.ndarray          # constant-1 signal minus current interpolant
@@ -110,10 +119,15 @@ class SelectionState:
 
 
 def new_state(spectrum: Spectrum, kernel: GbfKernel) -> SelectionState:
-    """Fresh state: empty set, squared powers equal to the kernel diagonal."""
+    """Fresh state: empty set, squared powers equal to the kernel diagonal.
+
+    Builds the n x n kernel matrix once (one O(n^3) product); each step then
+    reads one of its rows.
+    """
     p2 = kernel_diag(spectrum, kernel).copy()
     return SelectionState(
         chosen=[],
+        k=kernel_matrix(spectrum, kernel),
         basis=np.zeros((spectrum.n, spectrum.n)),
         p2=p2,
         residual=np.ones(spectrum.n),
@@ -121,18 +135,19 @@ def new_state(spectrum: Spectrum, kernel: GbfKernel) -> SelectionState:
     )
 
 
-def power_update_step(
-    state: SelectionState, spectrum: Spectrum, kernel: GbfKernel, w_new: int
-) -> SelectionState:
+def power_update_step(state: SelectionState, w_new: int) -> SelectionState:
     """Add one node: new Newton column, squared-power and residual downdate.
 
     Mutates and returns `state`.  The pivot p2(w_new) must sit above the
     numerical guard or the selection is exhausted.
     """
     w_new = int(w_new)
+    n = state.p2.shape[0]
+    if not 0 <= w_new < n:  # before any indexing: K[-1] would wrap around
+        raise ValueError(f"node id {w_new} out of range 0..{n - 1}")
     if w_new in state.chosen:
         raise ValueError(f"node {w_new} is already selected")
-    col = kernel_column(spectrum, kernel, w_new)  # range-checks w_new before p2 is indexed
+    col = state.k[w_new]  # K is exactly symmetric: row w is column w
     pivot = float(state.p2[w_new])
     if pivot <= state.pivot_guard:
         raise ZeroPivotError(
@@ -171,7 +186,7 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
     config.check(spectrum.n)
     state = new_state(spectrum, kernel)
     for w in config.initial:
-        power_update_step(state, spectrum, kernel, w)
+        power_update_step(state, w)
 
     while len(state.chosen) - len(config.initial) < config.budget:
         best = float(state.p2.max())
@@ -184,6 +199,6 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
         if best <= state.pivot_guard:
             state.stop_reason = "numerical-exhaustion"
             return state
-        power_update_step(state, spectrum, kernel, state.best_node(best))
+        power_update_step(state, state.best_node(best))
     state.stop_reason = "budget"
     return state

@@ -50,9 +50,9 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
     holds garbage afterwards.  Pass a copy to keep it.
     """
     lap = np.require(lap, dtype=float, requirements="W")  # copies a read-only input
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise NotSymmetricError(f"expected a square matrix, got shape {lap.shape}")
-    scale = max(1.0, float(np.max(np.abs(lap))) if lap.size else 1.0)
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] == 0:
+        raise NotSymmetricError(f"expected a non-empty square matrix, got shape {lap.shape}")
+    scale = max(1.0, float(np.max(np.abs(lap))))
     if float(np.max(np.abs(lap - lap.T))) > 1e-10 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-10")
     try:

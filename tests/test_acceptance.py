@@ -86,7 +86,7 @@ def test_criterion_1_incremental_direct_equality(greedy_runs):
 
         replay = new_state(s, kern)
         for k, w in enumerate(state.chosen):
-            power_update_step(replay, s, kern, w)
+            power_update_step(replay, w)
             dev = float(np.abs(np.sqrt(replay.p2) - run["direct"][k]).max())
             worst = max(worst, dev / p_init)
     elapsed = time.monotonic() - start

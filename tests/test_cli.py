@@ -338,7 +338,7 @@ def test_select_golden_hash(tmp_path):
                              "--kernel", "diffusion:t=-10", "--budget", "20", "-o", "sel.json"],
                          tmp_path)
     assert hashlib.sha256((tmp_path / "sel.json").read_bytes()).hexdigest() == (
-        "6a949490b65b54a4ee5be3c7016722638d0def59d495344b80fc8dc536ae4cad")
+        "4a3a088a78dd0f63d18fd476cf044451fe0284ad515c5e1ed701b34f91d81af3")
 
 
 def test_select_nodes_agree_across_blas_thread_counts(tmp_path):

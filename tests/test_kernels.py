@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kernelim import (
     GbfKernel,
     Graph,
+    Spectrum,
     clamp_spectrum,
     convolve,
     custom_kernel,
@@ -31,7 +32,7 @@ from kernelim.errors import (
     KernelSpecError,
     SplineSingularityError,
 )
-from kernelim.kernels import check_kernel_params, read_kernel_spec, rkhs_inner
+from kernelim.kernels import SYMMETRIZE_BLOCK, check_kernel_params, read_kernel_spec, rkhs_inner
 
 from helpers import expm_taylor, random_connected_graph
 
@@ -129,6 +130,23 @@ def test_kernel_matrix_matches_dense_construction():
     kern = spline_kernel(s, eps=0.3, s=2.0)
     dense = s.eigenvectors @ np.diag(kern.coefficients) @ s.eigenvectors.T
     assert np.abs(kernel_matrix(s, kern) - dense).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_full_kernel_matrix_is_the_whole_matrix_symmetrization(n):
+    # The blockwise in-place symmetrization gives every entry the same two
+    # operands as (k + k.T) / 2, for n below the block side and for n that is
+    # not a multiple of it.
+    assert n < SYMMETRIZE_BLOCK or n % SYMMETRIZE_BLOCK
+    rng = np.random.default_rng(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = Spectrum(eigenvalues=np.sort(rng.uniform(0.0, 2.0, n)), eigenvectors=np.ascontiguousarray(u))
+    kern = diffusion_kernel(s, -3.0)
+    k = kernel_matrix(s, kern)
+    k0 = (s.eigenvectors * kern.coefficients) @ s.eigenvectors.T
+    assert not np.array_equal(k0, k0.T)  # there is rounding to remove
+    assert np.array_equal(k, k.T)
+    assert np.array_equal(k, (k0 + k0.T) / 2.0)
 
 
 def test_kernel_column_matches_kernel_matrix():

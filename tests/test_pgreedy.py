@@ -10,6 +10,7 @@ from kernelim import (
     fit,
     kernel_column,
     kernel_diag,
+    kernel_matrix,
     laplacian,
     power_direct,
     power_update_step,
@@ -54,7 +55,7 @@ def test_first_step_recursion_base_case(path3_spectrum):
     kern = spline_kernel(path3_spectrum, eps=1.0, s=1.0)
     diag = kernel_diag(path3_spectrum, kern)
     state = new_state(path3_spectrum, kern)
-    power_update_step(state, path3_spectrum, kern, 0)
+    power_update_step(state, 0)
     col = kernel_column(path3_spectrum, kern, 0)
     n1 = col / np.sqrt(diag[0])
     assert np.abs(state.newton[:, 0] - n1).max() <= 1e-12
@@ -67,7 +68,7 @@ def test_first_step_recursion_base_case(path3_spectrum):
 def test_two_node_step_matches_direct_schur(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
     state = new_state(two_node_spectrum, kern)
-    power_update_step(state, two_node_spectrum, kern, 0)
+    power_update_step(state, 0)
     k11 = (1 + E2) / 2
     k12 = (1 - E2) / 2
     assert abs(state.p2[1] - (k11 - k12**2 / k11)) <= 1e-12
@@ -143,8 +144,8 @@ def test_warm_start_matches_manual_steps():
     warm = select_nodes(s, kern, SelectorConfig(budget=3, initial=(4, 9)))
     assert warm.chosen[:2] == [4, 9]
     manual = new_state(s, kern)
-    power_update_step(manual, s, kern, 4)
-    power_update_step(manual, s, kern, 9)
+    power_update_step(manual, 4)
+    power_update_step(manual, 9)
     assert np.abs(warm.newton[:, :2] - manual.newton).max() <= 1e-12
     assert len(warm.chosen) == 5
     assert len(warm.history) == 5  # warm-start absorption is recorded too
@@ -153,19 +154,69 @@ def test_warm_start_matches_manual_steps():
 def test_repeat_node_rejected(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
     state = new_state(two_node_spectrum, kern)
-    power_update_step(state, two_node_spectrum, kern, 0)
+    power_update_step(state, 0)
     with pytest.raises(ValueError, match="already"):
-        power_update_step(state, two_node_spectrum, kern, 0)
+        power_update_step(state, 0)
 
 
 def test_zero_pivot_rejected(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
     state = new_state(two_node_spectrum, kern)
-    power_update_step(state, two_node_spectrum, kern, 0)
-    power_update_step(state, two_node_spectrum, kern, 1)
+    power_update_step(state, 0)
+    power_update_step(state, 1)
     state.chosen.clear()  # force a step on an exhausted node
     with pytest.raises(ZeroPivotError):
-        power_update_step(state, two_node_spectrum, kern, 0)
+        power_update_step(state, 0)
+
+
+@pytest.mark.parametrize("w", [-1, 3])
+def test_out_of_range_node_rejected_before_the_state_moves(path3_spectrum, w):
+    # A row of K is read by index, and K[-1] would silently be the last row.
+    kern = diffusion_kernel(path3_spectrum, 1.0)
+    state = new_state(path3_spectrum, kern)
+    power_update_step(state, 1)
+    chosen, p2, residual = list(state.chosen), state.p2.copy(), state.residual.copy()
+    with pytest.raises(ValueError, match="out of range"):
+        power_update_step(state, w)
+    assert state.chosen == chosen
+    assert np.array_equal(state.p2, p2)
+    assert np.array_equal(state.residual, residual)
+
+
+def test_state_kernel_matrix_is_the_c_ordered_full_matrix():
+    # The steps take their columns from rows of K; an F-ordered K (like an
+    # F-ordered eigenbasis or Newton basis) takes other BLAS paths, so the
+    # bits of every output would move.
+    rng = np.random.default_rng(31)
+    s = eigendecompose(laplacian(random_connected_graph(rng, 20, unit_spectral=True)))
+    kern = diffusion_kernel(s, -2.0)
+    state = new_state(s, kern)
+    assert state.k.flags.c_contiguous and state.basis.flags.c_contiguous
+    assert np.array_equal(state.k, kernel_matrix(s, kern))
+    assert np.array_equal(state.p2, kernel_diag(s, kern))
+
+
+def test_newton_columns_match_a_kernel_column_replay():
+    # The selector reads rows of its own K; the replay runs the same recursion
+    # on columns from the eigenbasis (kernel_column), which shares no matrix
+    # with it.
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        n = int(rng.integers(10, 40))
+        s = eigendecompose(laplacian(random_connected_graph(rng, n, unit_spectral=True)))
+        kern = diffusion_kernel(s, float(rng.uniform(-10, 10)))
+        chosen = select_nodes(s, kern, SelectorConfig(budget=min(10, n - 1))).chosen
+        state = new_state(s, kern)
+        scale = np.sqrt(state.p2_scale)
+        p2 = kernel_diag(s, kern)
+        newton = np.zeros((n, len(chosen)))
+        for j, w in enumerate(chosen):
+            power_update_step(state, w)
+            col = kernel_column(s, kern, w) - newton[:, :j] @ newton[w, :j]
+            newton[:, j] = col / np.sqrt(p2[w])
+            p2 = np.maximum(p2 - newton[:, j] ** 2, 0.0)
+            assert np.abs(state.newton - newton[:, : j + 1]).max() <= 1e-12 * scale
+            assert np.abs(state.p2 - p2).max() <= 1e-12 * state.p2_scale
 
 
 def test_indefinite_kernel_refused(path3_spectrum):
@@ -183,7 +234,7 @@ def test_budget_infeasible(path3_spectrum):
 
 
 def _state(p2):
-    return SelectionState(chosen=[], basis=np.zeros((0, 0)), p2=np.array(p2),
+    return SelectionState(chosen=[], k=np.zeros((0, 0)), basis=np.zeros((0, 0)), p2=np.array(p2),
                           residual=np.ones(len(p2)), p2_scale=1.0)
 
 

@@ -50,6 +50,12 @@ def test_non_symmetric_rejected():
         eigendecompose(np.zeros((2, 3)))
 
 
+def test_empty_matrix_rejected():
+    for empty in (np.zeros((0, 0)), np.zeros((0, 3))):
+        with pytest.raises(NotSymmetricError, match="non-empty square"):
+            eigendecompose(empty)
+
+
 def test_spectrum_invariants_random():
     rng = np.random.default_rng(2)
     for _ in range(10):
