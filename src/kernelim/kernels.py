@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .errors import (
     ComplexPowerError,
@@ -31,7 +32,8 @@ FAMILY_PARAMETERS = {DIFFUSION: ("t",), SPLINE: ("eps", "s")}
 
 DEFAULT_CLAMP_FLOOR = 1e-14
 
-# Side of the square blocks in which the full kernel matrix is symmetrized.
+# Rows per strip in which the full kernel matrix's computed triangle is
+# mirrored into the other.
 SYMMETRIZE_BLOCK = 128
 
 
@@ -157,33 +159,45 @@ def _check_nodes(nodes, n: int) -> np.ndarray:
     return idx
 
 
-def _symmetrize(k: np.ndarray) -> None:
-    # k <- (k + k.T) / 2 in place, one pair of mirrored blocks at a time, so
-    # no n x n temporary is built.  Each entry gets the same two operands as
-    # in the whole-matrix formula, so the bits are the same.
-    n = k.shape[0]
+def _gram(u: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    # K = V+ V+^T - V- V-^T, where V = U * sqrt(|f|) and V+ / V- keep the
+    # columns with f > 0 / f < 0: one symmetric rank update (dsyrk, n^3
+    # flops) per sign present, into the upper triangle of an F-ordered
+    # matrix.  A side with no columns is skipped, since a rank-0 dsyrk
+    # rejects its input.  V^T is passed, an F-ordered view of the C-ordered
+    # V, so f2py makes no copy.
+    n = u.shape[0]
+    scaled = u * np.sqrt(np.abs(coeff))
+    c = np.zeros((n, n), order="F")
+    for alpha, cols in ((1.0, coeff > 0), (-1.0, coeff < 0)):
+        if cols.any():
+            v = scaled if cols.all() else np.compress(cols, scaled, axis=1)
+            c = dsyrk(alpha, v.T, beta=1.0, c=c, trans=1, overwrite_c=1)
+    # In C order the computed triangle is the lower one; mirror it upward one
+    # strip of SYMMETRIZE_BLOCK rows at a time, so no n x n temporary is built.
+    k = c.T
+    upper = ~np.tri(SYMMETRIZE_BLOCK, dtype=bool)
     for i in range(0, n, SYMMETRIZE_BLOCK):
-        for j in range(i, n, SYMMETRIZE_BLOCK):
-            a = k[i : i + SYMMETRIZE_BLOCK, j : j + SYMMETRIZE_BLOCK]
-            b = k[j : j + SYMMETRIZE_BLOCK, i : i + SYMMETRIZE_BLOCK]
-            m = (a + b.T) / 2.0
-            a[...] = m
-            b[...] = m.T
+        j = i + SYMMETRIZE_BLOCK
+        diag = k[i:j, i:j]
+        np.copyto(diag, diag.T, where=upper[: len(diag), : len(diag)])
+        k[i:j, j:] = k[j:, i:j].T
+    return k
 
 
 def kernel_matrix(spectrum: Spectrum, kernel: GbfKernel, rows=None, cols=None) -> np.ndarray:
     """Kernel (sub)matrix from the Mercer sum; `None` selects all nodes.
 
-    The full matrix is exactly symmetric under rounding, so its row w is its
-    column w.
+    The full matrix is a Gram matrix built with one symmetric rank update
+    per coefficient sign; it is C-ordered and exactly symmetric, so its row
+    w is its column w.  A submatrix is one general product.
     """
     u = spectrum.eigenvectors
+    if rows is None and cols is None:
+        return _gram(u, kernel.coefficients)
     ur = u if rows is None else u[_check_nodes(rows, spectrum.n)]
     uc = u if cols is None else u[_check_nodes(cols, spectrum.n)]
-    k = (ur * kernel.coefficients) @ uc.T
-    if rows is None and cols is None:
-        _symmetrize(k)
-    return k
+    return (ur * kernel.coefficients) @ uc.T
 
 
 def kernel_column(spectrum: Spectrum, kernel: GbfKernel, w: int) -> np.ndarray:

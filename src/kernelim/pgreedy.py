@@ -83,7 +83,7 @@ class SelectionState:
 
     chosen: list[int]
     k: np.ndarray                 # (n, n) kernel matrix, C order, exactly symmetric
-    basis: np.ndarray             # (n, n), C order; column j is the j-th Newton column
+    basis: np.ndarray             # (n, capacity), C order; column j is the j-th Newton column
     p2: np.ndarray                # current squared power per node
     residual: np.ndarray          # constant-1 signal minus current interpolant
     history: list[StepRecord] = field(default_factory=list)
@@ -118,17 +118,18 @@ class SelectionState:
         return float(np.max(np.abs(self.residual)))
 
 
-def new_state(spectrum: Spectrum, kernel: GbfKernel) -> SelectionState:
-    """Fresh state: empty set, squared powers equal to the kernel diagonal.
+def new_state(spectrum: Spectrum, kernel: GbfKernel, capacity: int) -> SelectionState:
+    """Fresh state for up to `capacity` nodes: empty set, squared powers equal
+    to the kernel diagonal.
 
-    Builds the n x n kernel matrix once (one O(n^3) product); each step then
-    reads one of its rows.
+    Builds the n x n kernel matrix once (one O(n^3) update); each step then
+    reads one of its rows.  The Newton basis holds `capacity` columns.
     """
     p2 = kernel_diag(spectrum, kernel).copy()
     return SelectionState(
         chosen=[],
         k=kernel_matrix(spectrum, kernel),
-        basis=np.zeros((spectrum.n, spectrum.n)),
+        basis=np.zeros((spectrum.n, capacity)),
         p2=p2,
         residual=np.ones(spectrum.n),
         p2_scale=float(max(p2.max(), np.finfo(float).tiny)),
@@ -147,6 +148,8 @@ def power_update_step(state: SelectionState, w_new: int) -> SelectionState:
         raise ValueError(f"node id {w_new} out of range 0..{n - 1}")
     if w_new in state.chosen:
         raise ValueError(f"node {w_new} is already selected")
+    if len(state.chosen) == state.basis.shape[1]:
+        raise ValueError(f"the state is full: it holds {len(state.chosen)} nodes")
     col = state.k[w_new]  # K is exactly symmetric: row w is column w
     pivot = float(state.p2[w_new])
     if pivot <= state.pivot_guard:
@@ -184,7 +187,7 @@ def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) 
             "selection needs a positive definite kernel; clamp the spectrum to proceed"
         )
     config.check(spectrum.n)
-    state = new_state(spectrum, kernel)
+    state = new_state(spectrum, kernel, config.budget + len(config.initial))
     for w in config.initial:
         power_update_step(state, w)
 

@@ -103,11 +103,12 @@ def _point_scorer(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float):
         k = kernel_matrix(spectrum, kern)
         errors = []
         for train in trains:
+            rows = k[train]  # K is exactly symmetric: these rows are also its columns
             try:
-                coeff = fit_coefficients(k[train][:, train], target[train], sigma2=jitter)
+                coeff = fit_coefficients(rows[:, train], target[train], sigma2=jitter)
             except NotPositiveDefiniteError:
                 return unusable
-            resid = target - k[:, train] @ coeff
+            resid = target - coeff @ rows
             err = float(np.mean(np.abs(resid)) if spec.metric == "mae" else np.sqrt(np.mean(resid**2)))
             if not np.isfinite(err):
                 return unusable

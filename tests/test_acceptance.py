@@ -84,7 +84,7 @@ def test_criterion_1_incremental_direct_equality(greedy_runs):
         # replay the greedy incrementally, comparing after every step
         from kernelim.pgreedy import new_state, power_update_step
 
-        replay = new_state(s, kern)
+        replay = new_state(s, kern, len(state.chosen))
         for k, w in enumerate(state.chosen):
             power_update_step(replay, w)
             dev = float(np.abs(np.sqrt(replay.p2) - run["direct"][k]).max())

@@ -132,21 +132,29 @@ def test_kernel_matrix_matches_dense_construction():
     assert np.abs(kernel_matrix(s, kern) - dense).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [7, 300])
-def test_full_kernel_matrix_is_the_whole_matrix_symmetrization(n):
-    # The blockwise in-place symmetrization gives every entry the same two
-    # operands as (k + k.T) / 2, for n below the block side and for n that is
-    # not a multiple of it.
-    assert n < SYMMETRIZE_BLOCK or n % SYMMETRIZE_BLOCK
+@pytest.mark.parametrize("n", [7, SYMMETRIZE_BLOCK, 300])
+@pytest.mark.parametrize("signs", ["positive", "mixed", "negative", "with-zeros", "zero"])
+def test_full_kernel_matrix_is_an_exactly_symmetric_gram_matrix(n, signs, capfd):
+    # One symmetric rank update per coefficient sign fills one triangle, which
+    # is mirrored block by block: n below, equal to and not a multiple of the
+    # block side.  A rank-0 update would print a BLAS error (OpenBLAS writes
+    # it to stdout).
     rng = np.random.default_rng(n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = Spectrum(eigenvalues=np.sort(rng.uniform(0.0, 2.0, n)), eigenvectors=np.ascontiguousarray(u))
-    kern = diffusion_kernel(s, -3.0)
-    k = kernel_matrix(s, kern)
-    k0 = (s.eigenvectors * kern.coefficients) @ s.eigenvectors.T
-    assert not np.array_equal(k0, k0.T)  # there is rounding to remove
+    f = {
+        "positive": rng.uniform(0.1, 2.0, n),
+        "mixed": rng.uniform(-2.0, 2.0, n),
+        "negative": -rng.uniform(0.1, 2.0, n),
+        "with-zeros": np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-2.0, 2.0, n)),
+        "zero": np.zeros(n),
+    }[signs]
+    k = kernel_matrix(s, custom_kernel(s, f))
+    dense = s.eigenvectors @ np.diag(f) @ s.eigenvectors.T
+    assert k.flags.c_contiguous
     assert np.array_equal(k, k.T)
-    assert np.array_equal(k, (k0 + k0.T) / 2.0)
+    assert np.abs(k - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_kernel_column_matches_kernel_matrix():

@@ -54,7 +54,7 @@ def test_full_budget_interpolates_everything():
 def test_first_step_recursion_base_case(path3_spectrum):
     kern = spline_kernel(path3_spectrum, eps=1.0, s=1.0)
     diag = kernel_diag(path3_spectrum, kern)
-    state = new_state(path3_spectrum, kern)
+    state = new_state(path3_spectrum, kern, 1)
     power_update_step(state, 0)
     col = kernel_column(path3_spectrum, kern, 0)
     n1 = col / np.sqrt(diag[0])
@@ -67,7 +67,7 @@ def test_first_step_recursion_base_case(path3_spectrum):
 
 def test_two_node_step_matches_direct_schur(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = new_state(two_node_spectrum, kern)
+    state = new_state(two_node_spectrum, kern, 1)
     power_update_step(state, 0)
     k11 = (1 + E2) / 2
     k12 = (1 - E2) / 2
@@ -143,7 +143,7 @@ def test_warm_start_matches_manual_steps():
     kern = diffusion_kernel(s, -2.0)
     warm = select_nodes(s, kern, SelectorConfig(budget=3, initial=(4, 9)))
     assert warm.chosen[:2] == [4, 9]
-    manual = new_state(s, kern)
+    manual = new_state(s, kern, 2)
     power_update_step(manual, 4)
     power_update_step(manual, 9)
     assert np.abs(warm.newton[:, :2] - manual.newton).max() <= 1e-12
@@ -153,7 +153,7 @@ def test_warm_start_matches_manual_steps():
 
 def test_repeat_node_rejected(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = new_state(two_node_spectrum, kern)
+    state = new_state(two_node_spectrum, kern, 1)
     power_update_step(state, 0)
     with pytest.raises(ValueError, match="already"):
         power_update_step(state, 0)
@@ -161,7 +161,7 @@ def test_repeat_node_rejected(two_node_spectrum):
 
 def test_zero_pivot_rejected(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = new_state(two_node_spectrum, kern)
+    state = new_state(two_node_spectrum, kern, 2)
     power_update_step(state, 0)
     power_update_step(state, 1)
     state.chosen.clear()  # force a step on an exhausted node
@@ -173,10 +173,23 @@ def test_zero_pivot_rejected(two_node_spectrum):
 def test_out_of_range_node_rejected_before_the_state_moves(path3_spectrum, w):
     # A row of K is read by index, and K[-1] would silently be the last row.
     kern = diffusion_kernel(path3_spectrum, 1.0)
-    state = new_state(path3_spectrum, kern)
+    state = new_state(path3_spectrum, kern, 2)
     power_update_step(state, 1)
     chosen, p2, residual = list(state.chosen), state.p2.copy(), state.residual.copy()
     with pytest.raises(ValueError, match="out of range"):
+        power_update_step(state, w)
+    assert state.chosen == chosen
+    assert np.array_equal(state.p2, p2)
+    assert np.array_equal(state.residual, residual)
+
+
+def test_newton_basis_holds_budget_plus_warm_start_columns(path3_spectrum):
+    kern = diffusion_kernel(path3_spectrum, 1.0)
+    state = select_nodes(path3_spectrum, kern, SelectorConfig(budget=1, initial=(2,)))
+    assert state.basis.shape == (3, 2) and len(state.chosen) == 2
+    chosen, p2, residual = list(state.chosen), state.p2.copy(), state.residual.copy()
+    (w,) = {0, 1, 2} - set(chosen)
+    with pytest.raises(ValueError, match="full"):
         power_update_step(state, w)
     assert state.chosen == chosen
     assert np.array_equal(state.p2, p2)
@@ -190,7 +203,7 @@ def test_state_kernel_matrix_is_the_c_ordered_full_matrix():
     rng = np.random.default_rng(31)
     s = eigendecompose(laplacian(random_connected_graph(rng, 20, unit_spectral=True)))
     kern = diffusion_kernel(s, -2.0)
-    state = new_state(s, kern)
+    state = new_state(s, kern, 5)
     assert state.k.flags.c_contiguous and state.basis.flags.c_contiguous
     assert np.array_equal(state.k, kernel_matrix(s, kern))
     assert np.array_equal(state.p2, kernel_diag(s, kern))
@@ -206,7 +219,7 @@ def test_newton_columns_match_a_kernel_column_replay():
         s = eigendecompose(laplacian(random_connected_graph(rng, n, unit_spectral=True)))
         kern = diffusion_kernel(s, float(rng.uniform(-10, 10)))
         chosen = select_nodes(s, kern, SelectorConfig(budget=min(10, n - 1))).chosen
-        state = new_state(s, kern)
+        state = new_state(s, kern, len(chosen))
         scale = np.sqrt(state.p2_scale)
         p2 = kernel_diag(s, kern)
         newton = np.zeros((n, len(chosen)))
