@@ -3,6 +3,8 @@
 All methods are scored with one kernel and one cascade configuration: for
 every prefix of each method's node list we record the maximal and mean
 posterior standard deviation and the IC score (fraction of nodes not reached).
+The standard deviations come from the selector's own Newton update, fed each
+list in order on one kernel matrix.
 """
 
 from __future__ import annotations
@@ -10,13 +12,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .baselines import DEFAULT_DAMPING, ICConfig, check_damping, ic_greedy_select, ic_score, pagerank_top_n
 from .errors import KernelimError, NumericalError
-from .gpr import check_sigma2, power_direct
+from .gpr import check_sigma2, power_direct  # noqa: F401  (perfbench's span gpr.power_direct looks it up here)
 from .graphs import Graph, LaplacianKind, degree_top_n, graph_hash
-from .kernels import GbfKernel, format_kernel_spec
-from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
+from .kernels import GbfKernel, format_kernel_spec, kernel_matrix
+from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, new_state, power_update_step, select_nodes
 from .spectral import Spectrum
 
 METHODS = ("kernel", "ic", "pagerank", "degree")
@@ -56,9 +60,9 @@ def check_request(n: int, budget: int, methods, damping: float, jitter: float, t
     return methods
 
 
-def _select(method, graph, spectrum, kernel, budget, cfg, damping, tolerance):
+def _select(method, graph, spectrum, kernel, k, budget, cfg, damping, tolerance):
     if method == "kernel":
-        sel = select_nodes(spectrum, kernel, SelectorConfig(budget=budget, tolerance=tolerance))
+        sel = select_nodes(spectrum, kernel, SelectorConfig(budget=budget, tolerance=tolerance), k=k)
         return list(sel.chosen)
     if method == "ic":
         return ic_greedy_select(graph, budget, cfg)
@@ -81,25 +85,30 @@ def run_comparison(
 ) -> ComparisonReport:
     """Run every requested selector to `budget` and score all prefixes.
 
-    The request is checked first.  Each method then selects and gets the power
-    rows of every prefix; one `ic_score` call scores the kept prefixes of all
-    lists on the same samples.  A failing method keeps its rows before the
-    failure and its error on its curve, and the others proceed; the report is
-    deterministic for a fixed ICConfig master seed.  If every method fails, the
-    run raises a NumericalError when every cause was numerical and a
-    KernelimError otherwise.
+    The request is checked first and the full kernel matrix built once.  Each
+    method then selects, and `power_update_step` with noise variance `jitter`
+    takes its list node by node, giving the power rows of every prefix (at
+    jitter 0 the kernel method's rows are its selection's own numbers).  One
+    `ic_score` call scores the kept prefixes of all lists on the same samples.
+    A failing method keeps its rows before the failure and its error on its
+    curve, and the others proceed; the report is deterministic for a fixed
+    ICConfig master seed.  If every method fails, the run raises a
+    NumericalError when every cause was numerical and a KernelimError
+    otherwise.
     """
     methods = check_request(graph.n, budget, methods, damping, jitter, tolerance)
     curves = [MethodCurve(method=method) for method in methods]
+    k = kernel_matrix(spectrum, kernel)
     numerical = []  # one entry per failed curve: was its cause numerical?
     for curve in curves:
         try:
-            nodes = _select(curve.method, graph, spectrum, kernel, budget, ic_cfg, damping, tolerance)
-            for k, node in enumerate(nodes, start=1):
-                powers = power_direct(spectrum, kernel, nodes[:k], sigma2=jitter)
+            nodes = _select(curve.method, graph, spectrum, kernel, k, budget, ic_cfg, damping, tolerance)
+            state = new_state(spectrum, kernel, budget, sigma2=jitter, k=k)
+            for node in nodes:
+                power_update_step(state, node)
                 curve.nodes.append(node)
-                curve.max_std.append(float(powers.max()))
-                curve.mean_std.append(float(powers.mean()))
+                curve.max_std.append(state.max_power())
+                curve.mean_std.append(float(np.sqrt(state.p2).mean()))
         except KernelimError as exc:
             curve.error = str(exc)
             numerical.append(isinstance(exc, NumericalError))

@@ -42,7 +42,7 @@ class ZeroPivotError(NumericalError):
 
 
 class NotSymmetricError(KernelimError):
-    """Matrix expected to be symmetric is not."""
+    """Matrix expected to be finite, square and symmetric is not."""
 
 
 class SolverError(NumericalError):

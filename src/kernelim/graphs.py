@@ -320,9 +320,16 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:
-    """Standard (D - A) or normalized (D^-1/2 L D^-1/2) graph Laplacian."""
+    """Standard (D - A) or normalized (D^-1/2 L D^-1/2) graph Laplacian.
+
+    Every weighted degree must be finite: finite weights can still sum to inf.
+    """
     ls = g.adjacency()
-    deg = ls.sum(axis=1)
+    with np.errstate(over="ignore"):
+        deg = ls.sum(axis=1)
+    if not np.all(np.isfinite(deg)):
+        node = int(np.argmin(np.isfinite(deg)))
+        raise GraphFormatError(f"weighted degree of node {node} overflows to {deg[node]}")
     np.subtract(0.0, ls, out=ls)  # -A in place, keeping +0.0 off the edges as D - A does
     np.fill_diagonal(ls, deg)
     if kind is LaplacianKind.STANDARD:

@@ -5,7 +5,8 @@ all powers through one new Newton-basis column in O(n * k).  The column starts
 from a row of the dense kernel matrix, built once per selection (pivoted
 Cholesky in Newton-basis form).  A residual of the constant-1 validation signal
 is maintained through the same triangular recursion and both quantities feed
-the stopping rule.
+the stopping rule.  With a noise variance sigma^2 the same recursion, with
+pivot p2(w) + sigma^2, factors K_W + sigma^2 I and gives the noisy posterior.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndefiniteKernelError, ZeroPivotError
+from .gpr import check_sigma2
 from .kernels import (
     GbfKernel,
     kernel_column,  # noqa: F401  (unused here; perfbench's span kernels.kernel_column looks it up in this module)
@@ -79,7 +81,7 @@ class StepRecord:
 @dataclass
 class SelectionState:
     """Running state of a selection: chosen nodes, kernel matrix, Newton basis,
-    powers, residual."""
+    powers, residual, noise variance."""
 
     chosen: list[int]
     k: np.ndarray                 # (n, n) kernel matrix, C order, exactly symmetric
@@ -89,6 +91,7 @@ class SelectionState:
     history: list[StepRecord] = field(default_factory=list)
     p2_scale: float = 1.0         # max initial squared power, for the pivot guard
     stop_reason: str | None = None
+    sigma2: float = 0.0           # noise variance; node w enters with pivot p2(w) + sigma2
 
     @property
     def newton(self) -> np.ndarray:
@@ -118,29 +121,36 @@ class SelectionState:
         return float(np.max(np.abs(self.residual)))
 
 
-def new_state(spectrum: Spectrum, kernel: GbfKernel, capacity: int) -> SelectionState:
+def new_state(spectrum: Spectrum, kernel: GbfKernel, capacity: int, sigma2: float = 0.0, k=None) -> SelectionState:
     """Fresh state for up to `capacity` nodes: empty set, squared powers equal
-    to the kernel diagonal.
+    to the kernel diagonal, noise variance `sigma2`.
 
-    Builds the n x n kernel matrix once (one O(n^3) update); each step then
-    reads one of its rows.  The Newton basis holds `capacity` columns.
+    The kernel must be positive definite.  Unless `k`, the full kernel matrix,
+    is given it is built here (one O(n^3) update); each step then reads one of
+    its rows.  The Newton basis holds `capacity` columns.
     """
+    if not kernel.is_positive_definite:
+        raise IndefiniteKernelError(
+            "the Newton update needs a positive definite kernel; clamp the spectrum to proceed"
+        )
+    check_sigma2(sigma2)
     p2 = kernel_diag(spectrum, kernel).copy()
     return SelectionState(
         chosen=[],
-        k=kernel_matrix(spectrum, kernel),
+        k=kernel_matrix(spectrum, kernel) if k is None else k,
         basis=np.zeros((spectrum.n, capacity)),
         p2=p2,
         residual=np.ones(spectrum.n),
         p2_scale=float(max(p2.max(), np.finfo(float).tiny)),
+        sigma2=float(sigma2),
     )
 
 
 def power_update_step(state: SelectionState, w_new: int) -> SelectionState:
     """Add one node: new Newton column, squared-power and residual downdate.
 
-    Mutates and returns `state`.  The pivot p2(w_new) must sit above the
-    numerical guard or the selection is exhausted.
+    Mutates and returns `state`.  The pivot p2(w_new) + sigma2 must sit above
+    the numerical guard or the selection is exhausted.
     """
     w_new = int(w_new)
     n = state.p2.shape[0]
@@ -151,20 +161,27 @@ def power_update_step(state: SelectionState, w_new: int) -> SelectionState:
     if len(state.chosen) == state.basis.shape[1]:
         raise ValueError(f"the state is full: it holds {len(state.chosen)} nodes")
     col = state.k[w_new]  # K is exactly symmetric: row w is column w
-    pivot = float(state.p2[w_new])
+    p2_w = float(state.p2[w_new])
+    pivot = p2_w + state.sigma2
     if pivot <= state.pivot_guard:
         raise ZeroPivotError(
-            f"pivot {pivot:.3e} at node {w_new} is below the guard "
-            f"{state.pivot_guard:.3e}; selection is numerically exhausted"
+            f"pivot {pivot:.3e} at node {w_new} is at or below the guard "
+            f"{state.pivot_guard:.3e}; the node set is numerically exhausted"
         )
-    newton_col = (col - state.newton @ state.newton[w_new]) / np.sqrt(pivot)
+    root = np.sqrt(pivot)
+    newton_col = (col - state.newton @ state.newton[w_new]) / root
 
     state.p2 -= newton_col**2
     np.maximum(state.p2, 0.0, out=state.p2)
-    # N_k(w_new) = sqrt(pivot) identically, so the downdate cancels exactly.
-    state.p2[w_new] = 0.0
+    # N_k(w_new) = p2_w / root identically, so the variance left at w_new is
+    # p2_w * sigma2 / pivot (0 without noise); write it rather than trust the
+    # downdate's cancellation.
+    state.p2[w_new] = p2_w * state.sigma2 / pivot
 
-    gamma = state.residual[w_new] / newton_col[w_new]
+    # The signal's new Newton coefficient is residual(w_new) / root; without
+    # noise root = N_k(w_new), whose rounded value wipes the residual at w_new
+    # exactly, while with noise N_k(w_new) may vanish.
+    gamma = state.residual[w_new] / (newton_col[w_new] if state.sigma2 == 0 else root)
     state.residual -= gamma * newton_col
 
     state.basis[:, len(state.chosen)] = newton_col
@@ -175,19 +192,15 @@ def power_update_step(state: SelectionState, w_new: int) -> SelectionState:
     return state
 
 
-def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig) -> SelectionState:
+def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig, k=None) -> SelectionState:
     """Run the greedy selection until the budget or a tolerance stop.
 
     Stops when `budget` nodes beyond the warm-start set are chosen, or when
     the maximal squared power or the maximal absolute residual of the
-    constant-1 signal falls below the tolerance.
+    constant-1 signal falls below the tolerance.  `k` is as in `new_state`.
     """
-    if not kernel.is_positive_definite:
-        raise IndefiniteKernelError(
-            "selection needs a positive definite kernel; clamp the spectrum to proceed"
-        )
     config.check(spectrum.n)
-    state = new_state(spectrum, kernel, config.budget + len(config.initial))
+    state = new_state(spectrum, kernel, config.budget + len(config.initial), k=k)
     for w in config.initial:
         power_update_step(state, w)
 

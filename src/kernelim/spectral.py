@@ -52,7 +52,11 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
     lap = np.require(lap, dtype=float, requirements="W")  # copies a read-only input
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] == 0:
         raise NotSymmetricError(f"expected a non-empty square matrix, got shape {lap.shape}")
-    scale = max(1.0, float(np.max(np.abs(lap))))
+    peak = float(np.max(np.abs(lap)))  # NaN if any entry is NaN
+    if not np.isfinite(peak):
+        i, j = np.argwhere(~np.isfinite(lap))[0]
+        raise NotSymmetricError(f"matrix entry ({i}, {j}) is not finite ({lap[i, j]})")
+    scale = max(1.0, peak)
     if float(np.max(np.abs(lap - lap.T))) > 1e-10 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-10")
     try:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -286,22 +287,30 @@ def test_compare_meta_names_the_clamp_floor(tmp_path, sensor_graph):
         assert json.loads(meta.read_text())["kernel"] == kernel
 
 
+def _run_at_blas_threads(threads, argv, cwd):
+    # BLAS reads its thread count at load time, so the count is set in a child.
+    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "MKL_NUM_THREADS": str(threads)}
+    subprocess.run([sys.executable, "-m", "kernelim.cli", *argv], env=env, cwd=cwd,
+                   capture_output=True, check=True)
+
+
 def test_compare_golden_hash(tmp_path):
-    # Desk-scale graph and a 50-run IC baseline; the hashes were recorded with one
-    # BLAS thread.  meta.json is not pinned because it embeds the package version.
+    # Desk-scale graph and a 50-run IC baseline, recorded and run with one BLAS
+    # thread.  meta.json is not pinned because it embeds the package version.
     # The rows of every method but ic have a pin of their own, so a change to the
     # IC-greedy picks alone leaves that one standing.
-    graph, report = tmp_path / "graph.json", tmp_path / "report.csv"
     assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
-                 "-o", str(graph)]) == 0
-    assert main(["compare", "--graph", str(graph), "--laplacian", "normalized",
-                 "--kernel", "diffusion:t=-10", "--budget", "10", "--ic-p", "0.2",
-                 "--ic-runs", "50", "--seed", "0", "-o", str(report)]) == 0
-    lines = report.read_bytes().splitlines(keepends=True)
+                 "-o", str(tmp_path / "graph.json")]) == 0
+    _run_at_blas_threads(1, ["compare", "--graph", "graph.json", "--laplacian", "normalized",
+                             "--kernel", "diffusion:t=-10", "--budget", "10", "--ic-p", "0.2",
+                             "--ic-runs", "50", "--seed", "0", "-o", "report.csv"], tmp_path)
+    lines = (tmp_path / "report.csv").read_bytes().splitlines(keepends=True)
     assert hashlib.sha256(b"".join(lines)).hexdigest() == (
-        "5d31b7b5174a99c011c5fc3d55327ee2621a622abc5d09f208aa578ae580f7cc")
+        "82a86467c7a46f7f8b092d6e274313cb6a2e90537210c685adfab51bb4232588")
     assert hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"ic,"))).hexdigest() == (
-        "ab912c8615fc9398d06027f3e920e3bec18e1d08d9a873ef1e51a7557f6c7595")
+        "959125680b36d8a7a18f50491007cff6a925eda8b8eae38f1896d1bf95f46b15")
 
 
 @pytest.mark.parametrize("jitter, digest", [
@@ -310,24 +319,14 @@ def test_compare_golden_hash(tmp_path):
 ], ids=["jitter-0", "jitter-1e-3"])
 def test_tune_golden_hash(tmp_path, jitter, digest):
     # Desk-scale graph and a 36-point spline grid, so a change to any bit of the
-    # CV solve shows; the hashes were recorded with one BLAS thread.
-    graph, table = tmp_path / "graph.json", tmp_path / "scores.csv"
+    # CV solve shows; recorded and run with one BLAS thread.
     assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
-                 "-o", str(graph)]) == 0
-    assert main(["tune", "--graph", str(graph), "--kernel", "spline",
-                 "--eps-grid", "1e-16:1e0:6", "--s-grid", "-1e1:-1e-1:6", "--folds", "5",
-                 "--seed", "0", "--jitter", jitter, "-o", str(tmp_path / "best.json"),
-                 "--table", str(table)]) == 0
-    assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
-
-
-def _run_at_blas_threads(threads, argv, cwd):
-    # BLAS reads its thread count at load time, so the count is set in a child.
-    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
-           "MKL_NUM_THREADS": str(threads)}
-    subprocess.run([sys.executable, "-m", "kernelim.cli", *argv], env=env, cwd=cwd,
-                   capture_output=True, check=True)
+                 "-o", str(tmp_path / "graph.json")]) == 0
+    _run_at_blas_threads(1, ["tune", "--graph", "graph.json", "--kernel", "spline",
+                             "--eps-grid", "1e-16:1e0:6", "--s-grid", "-1e1:-1e-1:6", "--folds", "5",
+                             "--seed", "0", "--jitter", jitter, "-o", "best.json",
+                             "--table", "scores.csv"], tmp_path)
+    assert hashlib.sha256((tmp_path / "scores.csv").read_bytes()).hexdigest() == digest
 
 
 def test_select_golden_hash(tmp_path):
@@ -422,17 +421,19 @@ def test_compare_every_method_failing_numerically_exits_2(tmp_path, capsys):
 
 def test_compare_reports_each_failed_method_and_keeps_its_rows(tmp_path, capsys, sensor_graph):
     # At t=-20 the kernel is numerically low rank: P-greedy stops on its pivot
-    # guard, while the degree and PageRank prefixes soon give a kernel
-    # submatrix whose Cholesky factorization fails.
+    # guard, while the degree and PageRank lists soon reach a node whose pivot
+    # is at or below that guard.
     out, meta = tmp_path / "r.csv", tmp_path / "m.json"
     code = main(["compare", "--graph", str(sensor_graph), "--kernel", "diffusion:t=-20",
                  "--budget", "10", "--methods", "kernel,degree,pagerank", "--ic-runs", "5",
                  "-o", str(out), "--meta", str(meta)])
     assert code == 0
-    failure = "kernel submatrix is not positive definite; consider --jitter or --clamp-spectrum"
-    assert capsys.readouterr().err == (
-        f"method degree failed: {failure}\nmethod pagerank failed: {failure}\n")
-    assert json.loads(meta.read_text())["errors"] == {"degree": failure, "pagerank": failure}
+    errors = json.loads(meta.read_text())["errors"]
+    assert list(errors) == ["degree", "pagerank"]
+    for failure in errors.values():
+        assert re.fullmatch(r"pivot \S+ at node \d+ is at or below the guard \S+; "
+                            r"the node set is numerically exhausted", failure)
+    assert capsys.readouterr().err == "".join(f"method {m} failed: {e}\n" for m, e in errors.items())
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     for method in ("kernel", "degree", "pagerank"):
@@ -488,6 +489,22 @@ def _assert_clean_exit(argv):
     if code:
         assert any(line.startswith("kernelim: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum"],
+    ["select", "--kernel", "diffusion:t=-1", "--budget", "1"],
+    ["compare", "--kernel", "diffusion:t=-1", "--budget", "1", "--ic-runs", "5"],
+])
+def test_overflowing_degree_exits_1_without_a_warning(tmp_path, command):
+    graph = _edge_list(tmp_path, "0 1 1e308\n1 2 1e308\n")
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main([*command, "--graph", str(graph), "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert stderr.getvalue() == "kernelim: error: weighted degree of node 1 overflows to inf\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _mostly(valid, other):

@@ -279,6 +279,14 @@ def test_laplacian_normalized_isolated_node_rejected():
         laplacian(g, LaplacianKind.NORMALIZED)
 
 
+@pytest.mark.parametrize("kind", list(LaplacianKind))
+def test_laplacian_refuses_an_overflowing_degree(kind):
+    # Each weight is finite; node 1's degree 2e308 is not.
+    g = Graph(n=3, edges=((0, 1, 1e308), (1, 2, 1e308)))
+    with pytest.raises(GraphFormatError, match="weighted degree of node 1 overflows to inf"):
+        laplacian(g, kind)
+
+
 def test_laplacian_invariants_random():
     rng = np.random.default_rng(11)
     for _ in range(20):

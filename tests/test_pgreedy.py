@@ -169,6 +169,44 @@ def test_zero_pivot_rejected(two_node_spectrum):
         power_update_step(state, 0)
 
 
+@pytest.mark.parametrize("coeff", ["diffusion", "rank-1"])
+def test_noisy_update_is_the_noisy_posterior(coeff):
+    # With sigma2 > 0 the squared powers are the noisy GP posterior variance and
+    # the residual is 1 minus the noisy posterior mean of the constant-1 signal.
+    # On the numerically rank-1 kernel the second node's Newton value vanishes
+    # (its pivot is sigma2 alone), so a residual divided by it would blow up.
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 10)
+    s = eigendecompose(laplacian(g))
+    if coeff == "rank-1":
+        kern = custom_kernel(s, [1.0] + [1e-30] * 9)
+    else:
+        kern = diffusion_kernel(s, 1.0)
+    sigma2 = 1e-3
+    state = new_state(s, kern, 3, sigma2=sigma2)
+    for w in (0, 5, 9):
+        power_update_step(state, w)
+        np.testing.assert_allclose(np.sqrt(state.p2), power_direct(s, kern, state.chosen, sigma2),
+                                   rtol=1e-9, atol=1e-12)
+        model = fit(s, kern, state.chosen, np.ones(len(state.chosen)), sigma2)
+        np.testing.assert_allclose(state.residual, 1.0 - predict(model, s), rtol=0, atol=1e-9)
+    assert state.p2[state.chosen].min() > 0  # noise leaves variance at the chosen nodes
+
+
+def test_pivot_includes_the_noise_variance():
+    # The rank-1 kernel of the test above: without noise the second node's
+    # pivot is at the guard, and a negative noise variance is refused.
+    rng = np.random.default_rng(3)
+    s = eigendecompose(laplacian(random_connected_graph(rng, 10)))
+    kern = custom_kernel(s, [1.0] + [1e-30] * 9)
+    state = new_state(s, kern, 2)
+    power_update_step(state, 0)
+    with pytest.raises(ZeroPivotError, match="at node 5 is at or below the guard"):
+        power_update_step(state, 5)
+    with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
+        new_state(s, kern, 2, sigma2=-1.0)
+
+
 @pytest.mark.parametrize("w", [-1, 3])
 def test_out_of_range_node_rejected_before_the_state_moves(path3_spectrum, w):
     # A row of K is read by index, and K[-1] would silently be the last row.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ def test_non_symmetric_rejected():
         eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(NotSymmetricError):
         eigendecompose(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("matrix, entry", [
+    ([[np.nan]], "(0, 0)"),
+    ([[1.0, np.inf], [np.inf, 1.0]], "(0, 1)"),  # symmetric, but not finite
+    ([[1.0, 2.0], [np.nan, 1.0]], "(1, 0)"),
+], ids=["nan", "symmetric-inf", "nan-below"])
+def test_non_finite_matrix_rejected(matrix, entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetricError) as info:
+            eigendecompose(np.array(matrix))
+    assert str(info.value).startswith(f"matrix entry {entry} is not finite")
 
 
 def test_empty_matrix_rejected():
