@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndefiniteKernelError, NotPositiveDefiniteError
 from .kernels import GbfKernel, kernel_diag, kernel_matrix
@@ -27,6 +26,8 @@ def _cho_factor(k_w: np.ndarray, sigma2: float):
     The caller's matrix is copied once, into the Fortran order in which LAPACK
     factors it in place; no identity, sum or further copy is built.
     """
+    import scipy.linalg  # on first use: only the solves need scipy
+
     check_sigma2(sigma2)
     a = np.array(k_w, dtype=float, order="F")
     if sigma2:
@@ -40,10 +41,16 @@ def _cho_factor(k_w: np.ndarray, sigma2: float):
         ) from None
 
 
+def _cho_solve(k_w: np.ndarray, sigma2: float, b: np.ndarray) -> np.ndarray:
+    """Solve (K_W + sigma^2 I) x = b through `_cho_factor`."""
+    import scipy.linalg
+
+    return scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), b)
+
+
 def fit_coefficients(k_w: np.ndarray, y: np.ndarray, sigma2: float = 0.0) -> np.ndarray:
     """Solve (K_W + sigma^2 I) c = y via Cholesky (no explicit inverse)."""
-    y = np.asarray(y, dtype=float)
-    return scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), y)
+    return _cho_solve(k_w, sigma2, np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,7 @@ def power_direct(spectrum: Spectrum, kernel: GbfKernel, sampling_set, sigma2: fl
     if nodes:
         k_w = kernel_matrix(spectrum, kernel, nodes, nodes)
         cross = kernel_matrix(spectrum, kernel, None, nodes)
-        p2 -= np.sum(cross * scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), cross.T).T, axis=1)
+        p2 -= np.sum(cross * _cho_solve(k_w, sigma2, cross.T).T, axis=1)
         if sigma2 == 0.0:
             # At sampled nodes the cross-covariance is a column of K_W, so the
             # Schur complement vanishes identically; write the exact zero.

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from .errors import (
     ComplexPowerError,
@@ -31,10 +30,6 @@ CUSTOM = "custom"
 FAMILY_PARAMETERS = {DIFFUSION: ("t",), SPLINE: ("eps", "s")}
 
 DEFAULT_CLAMP_FLOOR = 1e-14
-
-# Rows per strip in which the full kernel matrix's computed triangle is
-# mirrored into the other.
-SYMMETRIZE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -161,27 +156,16 @@ def _check_nodes(nodes, n: int) -> np.ndarray:
 
 def _gram(u: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     # K = V+ V+^T - V- V-^T, where V = U * sqrt(|f|) and V+ / V- keep the
-    # columns with f > 0 / f < 0: one symmetric rank update (dsyrk, n^3
-    # flops) per sign present, into the upper triangle of an F-ordered
-    # matrix.  A side with no columns is skipped, since a rank-0 dsyrk
-    # rejects its input.  V^T is passed, an F-ordered view of the C-ordered
-    # V, so f2py makes no copy.
-    n = u.shape[0]
+    # columns with f > 0 / f < 0.  numpy runs each V V^T as one symmetric
+    # rank update (syrk, n^3 flops) and mirrors the computed triangle, so K
+    # is C-ordered and exactly symmetric.
     scaled = u * np.sqrt(np.abs(coeff))
-    c = np.zeros((n, n), order="F")
-    for alpha, cols in ((1.0, coeff > 0), (-1.0, coeff < 0)):
-        if cols.any():
-            v = scaled if cols.all() else np.compress(cols, scaled, axis=1)
-            c = dsyrk(alpha, v.T, beta=1.0, c=c, trans=1, overwrite_c=1)
-    # In C order the computed triangle is the lower one; mirror it upward one
-    # strip of SYMMETRIZE_BLOCK rows at a time, so no n x n temporary is built.
-    k = c.T
-    upper = ~np.tri(SYMMETRIZE_BLOCK, dtype=bool)
-    for i in range(0, n, SYMMETRIZE_BLOCK):
-        j = i + SYMMETRIZE_BLOCK
-        diag = k[i:j, i:j]
-        np.copyto(diag, diag.T, where=upper[: len(diag), : len(diag)])
-        k[i:j, j:] = k[j:, i:j].T
+    pos, neg = coeff > 0, coeff < 0
+    vp = scaled if pos.all() else np.compress(pos, scaled, axis=1)
+    k = vp @ vp.T
+    if neg.any():
+        vm = np.compress(neg, scaled, axis=1)
+        k -= vm @ vm.T
     return k
 
 
@@ -189,8 +173,8 @@ def kernel_matrix(spectrum: Spectrum, kernel: GbfKernel, rows=None, cols=None) -
     """Kernel (sub)matrix from the Mercer sum; `None` selects all nodes.
 
     The full matrix is a Gram matrix built with one symmetric rank update
-    per coefficient sign; it is C-ordered and exactly symmetric, so its row
-    w is its column w.  A submatrix is one general product.
+    per coefficient sign present; it is C-ordered and exactly symmetric, so
+    its row w is its column w.  A submatrix is one general product.
     """
     u = spectrum.eigenvectors
     if rows is None and cols is None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSymmetricError, SolverError
 
@@ -30,13 +29,13 @@ class Spectrum:
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # First entry above the zero threshold is made positive so repeated runs
-    # produce identical bases.  Returns a C-ordered copy; no n x n float
-    # temporary is built, and negation is exact.
+    # produce identical bases.  A C-ordered u is flipped in place and returned;
+    # any other is copied to C order first.  Negation is exact.
     big = (u > SIGN_ZERO_THRESHOLD) | (u < -SIGN_ZERO_THRESHOLD)
     cols = np.arange(u.shape[1])
     first = big.argmax(axis=0)  # 0 for a column with no entry above the threshold
     flip = big[first, cols] & (u[first, cols] < 0)
-    u = np.array(u, order="C")
+    u = np.ascontiguousarray(u)
     np.negative(u, out=u, where=flip)
     return u
 
@@ -45,11 +44,10 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
     """Full dense eigendecomposition with a deterministic sign convention.
 
     LAPACK's divide-and-conquer driver reads the upper triangle of `lap`
-    (the lower triangle of its transpose, an F-ordered view) and works in
-    `lap`'s own buffer, so a writeable float array passed in is used up: it
-    holds garbage afterwards.  Pass a copy to keep it.
+    (the lower triangle of its transpose) from numpy's own copy, so `lap`
+    is left as it was.  A non-finite eigenvalue is a SolverError.
     """
-    lap = np.require(lap, dtype=float, requirements="W")  # copies a read-only input
+    lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] == 0:
         raise NotSymmetricError(f"expected a non-empty square matrix, got shape {lap.shape}")
     peak = float(np.max(np.abs(lap)))  # NaN if any entry is NaN
@@ -60,9 +58,12 @@ def eigendecompose(lap: np.ndarray) -> Spectrum:
     if float(np.max(np.abs(lap - lap.T))) > 1e-10 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-10")
     try:
-        lam, u = scipy.linalg.eigh(lap.T, overwrite_a=True, driver="evd")
+        lam, u = np.linalg.eigh(lap.T)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"dense symmetric eigensolver failed: {exc}") from None
+    if not np.all(np.isfinite(lam)):
+        k = int(np.argmax(~np.isfinite(lam)))
+        raise SolverError(f"eigensolver returned a non-finite eigenvalue at index {k} ({lam[k]})")
     return Spectrum(eigenvalues=lam, eigenvectors=_fix_signs(u))
 
 

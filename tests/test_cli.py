@@ -212,6 +212,17 @@ def test_select_non_finite_custom_coefficient_exits_1(tmp_path, capsys, sensor_g
     assert "coefficient 7 is not finite" in err
 
 
+def test_spectrum_refuses_an_overflowing_eigenvalue(tmp_path, capsys):
+    # A finite Laplacian whose eigenvalue 2e308 overflows: refused where eigh
+    # returns, before any output is written.
+    graph = _edge_list(tmp_path, "0 1 1e308\n")
+    out, vecs = tmp_path / "eig.csv", tmp_path / "u.csv"
+    assert main(["spectrum", "--graph", str(graph), "-o", str(out), "--vectors", str(vecs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kernelim: numerical failure: ")
+    assert "non-finite eigenvalue" in err
+    assert not out.exists() and not vecs.exists()
+
 def test_spectrum_vectors_dump(tmp_path, sensor_graph):
     out = tmp_path / "eig.csv"
     vecs = tmp_path / "u.csv"
@@ -314,8 +325,8 @@ def test_compare_golden_hash(tmp_path):
 
 
 @pytest.mark.parametrize("jitter, digest", [
-    ("0", "ac420ef27d2c53d5d22852a2262dace26a1e475a49cba2b4aa549689a9839977"),
-    ("1e-3", "64a3a7b9b6258cb20e9a3468f541b98bb1a5c13d86afe65a8587db15fe55a1d2"),
+    ("0", "055bc7b8c32b2b61754fcece18817f8755c31cdaeafd62d3bbde0556f172d1e4"),
+    ("1e-3", "5b65e9b21c39c88da3a489b02c33adebb2ce86ecfd0531260eab9d046047a44a"),
 ], ids=["jitter-0", "jitter-1e-3"])
 def test_tune_golden_hash(tmp_path, jitter, digest):
     # Desk-scale graph and a 36-point spline grid, so a change to any bit of the
@@ -461,6 +472,27 @@ def test_cli_import_loads_no_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 
+
+def test_commands_other_than_tune_load_no_scipy(tmp_path):
+    # Importing scipy.linalg costs about 0.3 s per process; only the Cholesky
+    # solves (tune, fit, power_direct) need it.
+    probe = """
+import sys
+from kernelim.cli import main
+runs = [
+    ["gen", "--nodes", "40", "--link-radius", "0.35", "--seed", "3", "-o", "g.json"],
+    ["spectrum", "--graph", "g.json", "--laplacian", "normalized", "-o", "e.csv", "--vectors", "u.csv"],
+    ["select", "--graph", "g.json", "--kernel", "diffusion:t=-2", "--budget", "5", "-o", "s.json"],
+    ["compare", "--graph", "g.json", "--kernel", "diffusion:t=-2", "--budget", "3",
+     "--ic-runs", "5", "-o", "r.csv"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0

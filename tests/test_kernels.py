@@ -32,7 +32,7 @@ from kernelim.errors import (
     KernelSpecError,
     SplineSingularityError,
 )
-from kernelim.kernels import SYMMETRIZE_BLOCK, check_kernel_params, read_kernel_spec, rkhs_inner
+from kernelim.kernels import check_kernel_params, read_kernel_spec, rkhs_inner
 
 from helpers import expm_taylor, random_connected_graph
 
@@ -132,13 +132,12 @@ def test_kernel_matrix_matches_dense_construction():
     assert np.abs(kernel_matrix(s, kern) - dense).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [7, SYMMETRIZE_BLOCK, 300])
+@pytest.mark.parametrize("n", [1, 7, 128, 300])
 @pytest.mark.parametrize("signs", ["positive", "mixed", "negative", "with-zeros", "zero"])
 def test_full_kernel_matrix_is_an_exactly_symmetric_gram_matrix(n, signs, capfd):
     # One symmetric rank update per coefficient sign fills one triangle, which
-    # is mirrored block by block: n below, equal to and not a multiple of the
-    # block side.  A rank-0 update would print a BLAS error (OpenBLAS writes
-    # it to stdout).
+    # is mirrored into the other.  A rank-0 update would print a BLAS error
+    # (OpenBLAS writes it to stdout).
     rng = np.random.default_rng(n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = Spectrum(eigenvalues=np.sort(rng.uniform(0.0, 2.0, n)), eigenvectors=np.ascontiguousarray(u))

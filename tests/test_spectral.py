@@ -97,6 +97,16 @@ def test_eigendecompose_deterministic():
         assert s.eigenvectors.flags.c_contiguous
 
 
+def test_a_writeable_laplacian_keeps_its_bytes():
+    rng = np.random.default_rng(8)
+    for kind in (LaplacianKind.STANDARD, LaplacianKind.NORMALIZED):
+        lap = laplacian(random_connected_graph(rng, 40), kind)
+        before = lap.tobytes()
+        assert lap.flags.writeable
+        eigendecompose(lap)
+        assert lap.tobytes() == before
+
+
 def test_only_the_upper_triangle_is_read():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((6, 6))
