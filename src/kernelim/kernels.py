@@ -158,7 +158,10 @@ def _gram(u: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     # K = V+ V+^T - V- V-^T, where V = U * sqrt(|f|) and V+ / V- keep the
     # columns with f > 0 / f < 0.  numpy runs each V V^T as one symmetric
     # rank update (syrk, n^3 flops) and mirrors the computed triangle, so K
-    # is C-ordered and exactly symmetric.
+    # is C-ordered and exactly symmetric.  A negative coefficient costs a
+    # second n x n temporary for V- V-^T (all negative: V+ V+^T is a zero
+    # product); such a kernel is indefinite, and `compare`, which builds K
+    # before any method checks the kernel, then fails every method.
     scaled = u * np.sqrt(np.abs(coeff))
     pos, neg = coeff > 0, coeff < 0
     vp = scaled if pos.all() else np.compress(pos, scaled, axis=1)

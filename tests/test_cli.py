@@ -223,6 +223,7 @@ def test_spectrum_refuses_an_overflowing_eigenvalue(tmp_path, capsys):
     assert "non-finite eigenvalue" in err
     assert not out.exists() and not vecs.exists()
 
+
 def test_spectrum_vectors_dump(tmp_path, sensor_graph):
     out = tmp_path / "eig.csv"
     vecs = tmp_path / "u.csv"
@@ -493,6 +494,7 @@ print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scip
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0

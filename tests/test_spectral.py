@@ -126,8 +126,10 @@ def test_fix_signs_matches_the_column_loop():
         u[:, int(rng.integers(u.shape[1]))] = 0.0
         if trial % 2:
             u = np.asfortranarray(u)
+        want = fix_signs_loop(u)  # before the call, which flips a C-ordered u in place
         out = _fix_signs(u)
-        assert out.tobytes() == fix_signs_loop(u).tobytes() and out.flags.c_contiguous
+        assert out.tobytes() == want.tobytes() and out.flags.c_contiguous
+        assert (out is u) == u.flags.c_contiguous
 
 
 def test_gft_first_mode(two_node_spectrum):
