@@ -39,7 +39,8 @@ from .kernels import (
     check_clamp_floor,
     check_kernel_params,
     clamp_spectrum,
-    parse_kernel_spec,  # noqa: F401  (unused here; perfbench's span targets look it up in this module)
+    kernel_matrix,
+    parse_kernel_spec,  # noqa: F401  (unused; perfbench's spans look it up here until ROADMAP item 2)
     read_kernel_spec,
 )
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, select_nodes
@@ -157,7 +158,7 @@ def cmd_select(args) -> int:
     config.check(graph.n)
     check_kernel_params(family, params, graph.n)
     spectrum, kind = _spectrum(graph, args)
-    state = select_nodes(spectrum, _kernel(args, family, params, spectrum), config)
+    state = select_nodes(kernel_matrix(spectrum, _kernel(args, family, params, spectrum)), config)
     payload = {
         "nodes": state.chosen,
         "max_power": [rec.max_power for rec in state.history],

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .baselines import DEFAULT_DAMPING, ICConfig, check_damping, ic_greedy_select, ic_score, pagerank_top_n
 from .errors import KernelimError, NumericalError
-from .gpr import check_sigma2, power_direct  # noqa: F401  (perfbench's span gpr.power_direct looks it up here)
+from .gpr import check_sigma2, power_direct  # noqa: F401  (unused; perfbench's spans look it up here until ROADMAP item 2)
 from .graphs import Graph, LaplacianKind, degree_top_n, graph_hash
 from .kernels import GbfKernel, format_kernel_spec, kernel_matrix
 from .pgreedy import DEFAULT_TOLERANCE, SelectorConfig, new_state, power_update_step, select_nodes
@@ -60,9 +60,9 @@ def check_request(n: int, budget: int, methods, damping: float, jitter: float, t
     return methods
 
 
-def _select(method, graph, spectrum, kernel, k, budget, cfg, damping, tolerance):
+def _select(method, graph, k, budget, cfg, damping, tolerance):
     if method == "kernel":
-        sel = select_nodes(spectrum, kernel, SelectorConfig(budget=budget, tolerance=tolerance), k=k)
+        sel = select_nodes(k, SelectorConfig(budget=budget, tolerance=tolerance))
         return list(sel.chosen)
     if method == "ic":
         return ic_greedy_select(graph, budget, cfg)
@@ -85,10 +85,12 @@ def run_comparison(
 ) -> ComparisonReport:
     """Run every requested selector to `budget` and score all prefixes.
 
-    The request is checked first and the full kernel matrix built once.  Each
-    method then selects, and `power_update_step` with noise variance `jitter`
-    takes its list node by node, giving the power rows of every prefix (at
-    jitter 0 the kernel method's rows are its selection's own numbers).  One
+    The request is checked first and the full kernel matrix built once, which
+    refuses a kernel that is not positive definite before any method runs.
+    Each method then selects, and `power_update_step` with noise variance
+    `jitter` takes its list node by node, giving the power rows of every
+    prefix (at jitter 0 the kernel method's rows are its selection's own
+    numbers).  One
     `ic_score` call scores the kept prefixes of all lists on the same samples.
     A failing method keeps its rows before the failure and its error on its
     curve, and the others proceed; the report is deterministic for a fixed
@@ -102,8 +104,8 @@ def run_comparison(
     numerical = []  # one entry per failed curve: was its cause numerical?
     for curve in curves:
         try:
-            nodes = _select(curve.method, graph, spectrum, kernel, k, budget, ic_cfg, damping, tolerance)
-            state = new_state(spectrum, kernel, budget, sigma2=jitter, k=k)
+            nodes = _select(curve.method, graph, k, budget, ic_cfg, damping, tolerance)
+            state = new_state(k, budget, sigma2=jitter)
             for node in nodes:
                 power_update_step(state, node)
                 curve.nodes.append(node)

@@ -154,34 +154,22 @@ def _check_nodes(nodes, n: int) -> np.ndarray:
     return idx
 
 
-def _gram(u: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    # K = V+ V+^T - V- V-^T, where V = U * sqrt(|f|) and V+ / V- keep the
-    # columns with f > 0 / f < 0.  numpy runs each V V^T as one symmetric
-    # rank update (syrk, n^3 flops) and mirrors the computed triangle, so K
-    # is C-ordered and exactly symmetric.  A negative coefficient costs a
-    # second n x n temporary for V- V-^T (all negative: V+ V+^T is a zero
-    # product); such a kernel is indefinite, and `compare`, which builds K
-    # before any method checks the kernel, then fails every method.
-    scaled = u * np.sqrt(np.abs(coeff))
-    pos, neg = coeff > 0, coeff < 0
-    vp = scaled if pos.all() else np.compress(pos, scaled, axis=1)
-    k = vp @ vp.T
-    if neg.any():
-        vm = np.compress(neg, scaled, axis=1)
-        k -= vm @ vm.T
-    return k
-
-
 def kernel_matrix(spectrum: Spectrum, kernel: GbfKernel, rows=None, cols=None) -> np.ndarray:
     """Kernel (sub)matrix from the Mercer sum; `None` selects all nodes.
 
-    The full matrix is a Gram matrix built with one symmetric rank update
-    per coefficient sign present; it is C-ordered and exactly symmetric, so
-    its row w is its column w.  A submatrix is one general product.
+    The full matrix needs a positive definite kernel: it is the Gram matrix
+    V V^T of V = U * sqrt(f), which numpy runs as one symmetric rank update
+    (syrk) and mirrors, so it is C-ordered and exactly symmetric and its row w
+    is its column w.  A submatrix, for any kernel, is one general product.
     """
     u = spectrum.eigenvectors
     if rows is None and cols is None:
-        return _gram(u, kernel.coefficients)
+        if not kernel.is_positive_definite:
+            raise IndefiniteKernelError(
+                "the full kernel matrix needs a positive definite kernel; clamp the spectrum to proceed"
+            )
+        v = u * np.sqrt(kernel.coefficients)
+        return v @ v.T
     ur = u if rows is None else u[_check_nodes(rows, spectrum.n)]
     uc = u if cols is None else u[_check_nodes(cols, spectrum.n)]
     return (ur * kernel.coefficients) @ uc.T

@@ -2,7 +2,7 @@
 
 Each step adds the node with the largest current squared power, then updates
 all powers through one new Newton-basis column in O(n * k).  The column starts
-from a row of the dense kernel matrix, built once per selection (pivoted
+from a row of the dense kernel matrix, the selection's only input (pivoted
 Cholesky in Newton-basis form).  A residual of the constant-1 validation signal
 is maintained through the same triangular recursion and both quantities feed
 the stopping rule.  With a noise variance sigma^2 the same recursion, with
@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndefiniteKernelError, ZeroPivotError
+from .errors import ZeroPivotError
 from .gpr import check_sigma2
-from .kernels import (
-    GbfKernel,
-    kernel_column,  # noqa: F401  (unused here; perfbench's span kernels.kernel_column looks it up in this module)
-    kernel_diag,
-    kernel_matrix,
-)
-from .spectral import Spectrum
+from .kernels import kernel_column, kernel_diag  # noqa: F401  (unused; perfbench's spans look them up here until ROADMAP item 2)
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -121,26 +115,23 @@ class SelectionState:
         return float(np.max(np.abs(self.residual)))
 
 
-def new_state(spectrum: Spectrum, kernel: GbfKernel, capacity: int, sigma2: float = 0.0, k=None) -> SelectionState:
-    """Fresh state for up to `capacity` nodes: empty set, squared powers equal
-    to the kernel diagonal, noise variance `sigma2`.
+def new_state(k: np.ndarray, capacity: int, sigma2: float = 0.0) -> SelectionState:
+    """Fresh state for up to `capacity` nodes on the full kernel matrix `k`:
+    empty set, squared powers equal to its diagonal, noise variance `sigma2`.
 
-    The kernel must be positive definite.  Unless `k`, the full kernel matrix,
-    is given it is built here (one O(n^3) update); each step then reads one of
-    its rows.  The Newton basis holds `capacity` columns.
+    Each step reads one row of `k`, which must be C-ordered and exactly
+    symmetric, as `kernel_matrix` builds it.  The Newton basis holds
+    `capacity` columns.
     """
-    if not kernel.is_positive_definite:
-        raise IndefiniteKernelError(
-            "the Newton update needs a positive definite kernel; clamp the spectrum to proceed"
-        )
     check_sigma2(sigma2)
-    p2 = kernel_diag(spectrum, kernel).copy()
+    n = k.shape[0]
+    p2 = np.diag(k).copy()
     return SelectionState(
         chosen=[],
-        k=kernel_matrix(spectrum, kernel) if k is None else k,
-        basis=np.zeros((spectrum.n, capacity)),
+        k=k,
+        basis=np.zeros((n, capacity)),
         p2=p2,
-        residual=np.ones(spectrum.n),
+        residual=np.ones(n),
         p2_scale=float(max(p2.max(), np.finfo(float).tiny)),
         sigma2=float(sigma2),
     )
@@ -192,15 +183,16 @@ def power_update_step(state: SelectionState, w_new: int) -> SelectionState:
     return state
 
 
-def select_nodes(spectrum: Spectrum, kernel: GbfKernel, config: SelectorConfig, k=None) -> SelectionState:
-    """Run the greedy selection until the budget or a tolerance stop.
+def select_nodes(k: np.ndarray, config: SelectorConfig) -> SelectionState:
+    """Run the greedy selection on the full kernel matrix `k` (as in
+    `new_state`) until the budget or a tolerance stop.
 
     Stops when `budget` nodes beyond the warm-start set are chosen, or when
     the maximal squared power or the maximal absolute residual of the
-    constant-1 signal falls below the tolerance.  `k` is as in `new_state`.
+    constant-1 signal falls below the tolerance.
     """
-    config.check(spectrum.n)
-    state = new_state(spectrum, kernel, config.budget + len(config.initial), k=k)
+    config.check(k.shape[0])
+    state = new_state(k, config.budget + len(config.initial))
     for w in config.initial:
         power_update_step(state, w)
 

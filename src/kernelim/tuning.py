@@ -95,12 +95,9 @@ def _point_scorer(spectrum: Spectrum, family: str, spec: CvSpec, jitter: float):
     def score(params: dict) -> GridPointScore:
         unusable = GridPointScore(params=params, score=float("inf"), fold_errors=())
         try:
-            kern = build_kernel(family, params, spectrum)
+            k = kernel_matrix(spectrum, build_kernel(family, params, spectrum))
         except KernelimError:
             return unusable
-        if not kern.is_positive_definite:
-            return unusable
-        k = kernel_matrix(spectrum, kern)
         errors = []
         for train in trains:
             rows = k[train]  # K is exactly symmetric: these rows are also its columns

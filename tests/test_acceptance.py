@@ -57,7 +57,7 @@ def greedy_runs():
         t = float(rng.uniform(-20.0, 20.0))
         kern = diffusion_kernel(s, t)
         diag = kernel_diag(s, kern)
-        state = select_nodes(s, kern, SelectorConfig(budget=min(15, n)))
+        state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=min(15, n)))
         per_step_direct = [
             power_direct(s, kern, state.chosen[: k + 1]) for k in range(len(state.chosen))
         ]
@@ -84,7 +84,7 @@ def test_criterion_1_incremental_direct_equality(greedy_runs):
         # replay the greedy incrementally, comparing after every step
         from kernelim.pgreedy import new_state, power_update_step
 
-        replay = new_state(s, kern, len(state.chosen))
+        replay = new_state(kernel_matrix(s, kern), len(state.chosen))
         for k, w in enumerate(state.chosen):
             power_update_step(replay, w)
             dev = float(np.abs(np.sqrt(replay.p2) - run["direct"][k]).max())
@@ -107,7 +107,7 @@ def test_criterion_2_greedy_matches_brute_force():
         g = random_connected_graph(rng, n, unit_spectral=True)
         s = eigendecompose(laplacian(g))
         kern = diffusion_kernel(s, float(rng.uniform(-20.0, 20.0)))
-        state = select_nodes(s, kern, SelectorConfig(budget=min(8, n)))
+        state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=min(8, n)))
         for k, rec in enumerate(state.history):
             prefix = state.chosen[:k]
             powers = power_direct(s, kern, prefix)
@@ -165,8 +165,9 @@ def test_criterion_4_kernel_correctness():
         kern = spline_kernel(s, eps, sp)
         spline_exact &= np.array_equal(kern.coefficients, (eps + s.eigenvalues) ** (-sp))
         mixed = custom_kernel(s, rng.uniform(-0.5, 1.0, size=g.n))
-        min_eig = float(np.linalg.eigvalsh(kernel_matrix(s, mixed))[0])
-        scale = float(np.abs(kernel_matrix(s, mixed)).max())
+        mercer = (s.eigenvectors * mixed.coefficients) @ s.eigenvectors.T  # U diag(f) U^T
+        min_eig = float(np.linalg.eigvalsh(mercer)[0])
+        scale = float(np.abs(mercer).max())
         pd_consistent &= mixed.is_positive_definite == (min_eig > -1e-9 * scale) or (
             not mixed.is_positive_definite and min_eig <= 1e-9 * scale
         )

@@ -320,9 +320,9 @@ def test_compare_golden_hash(tmp_path):
                              "--ic-runs", "50", "--seed", "0", "-o", "report.csv"], tmp_path)
     lines = (tmp_path / "report.csv").read_bytes().splitlines(keepends=True)
     assert hashlib.sha256(b"".join(lines)).hexdigest() == (
-        "82a86467c7a46f7f8b092d6e274313cb6a2e90537210c685adfab51bb4232588")
+        "c783e2903de4cbac77eb085be4495957864507a1493f68b8f4954038474d6ece")
     assert hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"ic,"))).hexdigest() == (
-        "959125680b36d8a7a18f50491007cff6a925eda8b8eae38f1896d1bf95f46b15")
+        "37cf555f52aa6c2ac934baae8748f95e74feed0c825e5edd830b6baeb0122967")
 
 
 @pytest.mark.parametrize("jitter, digest", [
@@ -349,7 +349,7 @@ def test_select_golden_hash(tmp_path):
                              "--kernel", "diffusion:t=-10", "--budget", "20", "-o", "sel.json"],
                          tmp_path)
     assert hashlib.sha256((tmp_path / "sel.json").read_bytes()).hexdigest() == (
-        "315e11a16a92803fc54f33f44a2fb1929896f4ffe260bcf05ec4dd557847daf2")
+        "d7364f4a6639ffb6be0d5554298f8639862dd61108d9a4c11f9d726f399e32e8")
 
 
 def test_select_nodes_agree_across_blas_thread_counts(tmp_path):
@@ -421,13 +421,38 @@ def test_compare_refuses_bad_methods_and_budget_before_any_selector(tmp_path, ca
 
 
 def test_compare_every_method_failing_numerically_exits_2(tmp_path, capsys):
+    # A numerically rank-1 kernel: both lists reach a pivot at or below the
+    # guard, so every method fails numerically.
     graph = tmp_path / "desk.json"
     assert main(["gen", "--nodes", "79", "--seed", "7", "--link-radius", "0.2",
                  "-o", str(graph)]) == 0
+    coeffs = tmp_path / "rank1.txt"
+    coeffs.write_text("1\n" + "1e-30\n" * 78)
+    code = main(["compare", "--graph", str(graph), "--kernel", f"custom:file={coeffs}",
+                 "--budget", "3", "--methods", "degree,pagerank", "--ic-runs", "20",
+                 "-o", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"kernelim: numerical failure: every method failed: "
+                        r"degree: pivot .* is at or below the guard .*; "
+                        r"pagerank: pivot .* is at or below the guard .*\n", err)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_compare_refuses_an_indefinite_kernel_once_before_any_method(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "desk.json"
+    assert main(["gen", "--nodes", "79", "--seed", "7", "--link-radius", "0.2",
+                 "-o", str(graph)]) == 0
+    calls = []
+    for name in ("ic_greedy_select", "degree_top_n", "ic_score"):
+        monkeypatch.setattr(compare, name, lambda *a, name=name: calls.append(name))
     code = main(["compare", "--graph", str(graph), "--kernel", "spline:eps=-0.5,s=1",
                  "--budget", "3", "--ic-runs", "20", "-o", str(tmp_path / "r.csv")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("kernelim: numerical failure: every method failed: ")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kernelim: numerical failure: ")
+    assert "positive definite" in lines[0]
+    assert calls == []
     assert not (tmp_path / "r.csv").exists()
 
 

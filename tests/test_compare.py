@@ -14,13 +14,14 @@ from kernelim import (
     eigendecompose,
     generate_points_graph,
     ic_score,
+    kernel_matrix,
     laplacian,
     power_direct,
     run_comparison,
     select_nodes,
     write_report_csv,
 )
-from kernelim.errors import KernelimError, NumericalError
+from kernelim.errors import IndefiniteKernelError, KernelimError, NumericalError
 
 from helpers import random_connected_graph
 
@@ -75,7 +76,7 @@ def test_power_rows_match_the_direct_formula(sigma2):
                                        [direct.max(), direct.mean()], rtol=1e-11, atol=0)
         assert all(a >= b for a, b in zip(curve.max_std, curve.max_std[1:]))
     if sigma2 == 0.0:
-        history = select_nodes(s, kern, SelectorConfig(budget=10)).history
+        history = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=10)).history
         kernel_curve = report.curves[0]
         assert kernel_curve.nodes == [rec.node for rec in history]
         assert kernel_curve.max_std == [rec.max_power for rec in history]  # bit for bit
@@ -185,21 +186,37 @@ def test_request_is_checked_before_any_method_runs(monkeypatch, kwargs, message)
 
 
 def test_failing_methods_keep_the_numerical_exit_class(monkeypatch):
+    # The rank-1 kernel of test_all_methods_failing_raises: both lists reach a
+    # pivot at or below the guard, a numerical failure.  One failure that is
+    # not numerical makes the whole run a plain KernelimError.
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 10)
     s = eigendecompose(laplacian(g))
-    kern = custom_kernel(s, [1.0] + [-1.0] * 9)
+    kern = custom_kernel(s, [1.0] + [1e-30] * 9)
     cfg = ICConfig(p=0.2, runs=5, master_seed=1)
     with pytest.raises(NumericalError, match="every method failed"):
-        run_comparison(g, s, kern, budget=2, ic_cfg=cfg, methods=["kernel", "degree"])
+        run_comparison(g, s, kern, budget=3, ic_cfg=cfg, methods=["degree", "pagerank"])
 
     def refuse(*args):
         raise KernelimError("not numerical")
 
     monkeypatch.setattr(compare, "degree_top_n", refuse)
     with pytest.raises(KernelimError, match="every method failed") as info:
-        run_comparison(g, s, kern, budget=2, ic_cfg=cfg, methods=["kernel", "degree"])
+        run_comparison(g, s, kern, budget=3, ic_cfg=cfg, methods=["degree", "pagerank"])
     assert not isinstance(info.value, NumericalError)
+
+
+def test_indefinite_kernel_is_refused_before_any_method_runs(monkeypatch):
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(rng, 10)
+    s = eigendecompose(laplacian(g))
+    kern = custom_kernel(s, [1.0] + [-1.0] * 9)
+    calls = []
+    for name in ("ic_greedy_select", "degree_top_n", "ic_score"):
+        monkeypatch.setattr(compare, name, lambda *a, name=name: calls.append(name))
+    with pytest.raises(IndefiniteKernelError):
+        run_comparison(g, s, kern, budget=2, ic_cfg=ICConfig(p=0.2, runs=5, master_seed=1))
+    assert calls == []
 
 
 def test_csv_round_trip(tmp_path):

@@ -115,7 +115,7 @@ def test_pd_flag_matches_kernel_matrix_eigenvalues():
         s = eigendecompose(laplacian(g))
         coeff = rng.uniform(-0.5, 1.0, size=g.n)
         kern = custom_kernel(s, coeff)
-        k = kernel_matrix(s, kern)
+        k = (s.eigenvectors * coeff) @ s.eigenvectors.T  # U diag(f) U^T
         min_eig = np.linalg.eigvalsh(k)[0]
         if kern.is_positive_definite:
             assert min_eig > -1e-9 * np.abs(k).max()
@@ -135,9 +135,11 @@ def test_kernel_matrix_matches_dense_construction():
 @pytest.mark.parametrize("n", [1, 7, 128, 300])
 @pytest.mark.parametrize("signs", ["positive", "mixed", "negative", "with-zeros", "zero"])
 def test_full_kernel_matrix_is_an_exactly_symmetric_gram_matrix(n, signs, capfd):
-    # One symmetric rank update per coefficient sign fills one triangle, which
-    # is mirrored into the other.  A rank-0 update would print a BLAS error
-    # (OpenBLAS writes it to stdout).
+    # A positive definite kernel's K is one symmetric rank update that fills
+    # one triangle, mirrored into the other; any other kernel is refused
+    # before BLAS runs (OpenBLAS would print a rank-0 update's error to
+    # stdout).  A subset serves every kernel.  ("mixed" at n = 1 is a single
+    # positive draw.)
     rng = np.random.default_rng(n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = Spectrum(eigenvalues=np.sort(rng.uniform(0.0, 2.0, n)), eigenvectors=np.ascontiguousarray(u))
@@ -148,11 +150,18 @@ def test_full_kernel_matrix_is_an_exactly_symmetric_gram_matrix(n, signs, capfd)
         "with-zeros": np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-2.0, 2.0, n)),
         "zero": np.zeros(n),
     }[signs]
-    k = kernel_matrix(s, custom_kernel(s, f))
+    kern = custom_kernel(s, f)
     dense = s.eigenvectors @ np.diag(f) @ s.eigenvectors.T
-    assert k.flags.c_contiguous
-    assert np.array_equal(k, k.T)
-    assert np.abs(k - dense).max() <= 1e-13 * np.abs(dense).max()
+    scale = max(np.abs(dense).max(), np.finfo(float).tiny)
+    assert np.abs(kernel_matrix(s, kern, None, range(n)) - dense).max() <= 1e-13 * scale
+    if signs == "positive" or (signs == "mixed" and n == 1):
+        k = kernel_matrix(s, kern)
+        assert k.flags.c_contiguous
+        assert np.array_equal(k, k.T)
+        assert np.abs(k - dense).max() <= 1e-13 * scale
+    else:
+        with pytest.raises(IndefiniteKernelError):
+            kernel_matrix(s, kern)
     assert capfd.readouterr() == ("", "")
 
 

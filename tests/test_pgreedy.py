@@ -28,7 +28,7 @@ E2 = np.exp(-2.0)
 
 def test_two_node_diffusion_budget_two(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = select_nodes(two_node_spectrum, kern, SelectorConfig(budget=2))
+    state = select_nodes(kernel_matrix(two_node_spectrum, kern), SelectorConfig(budget=2))
     assert state.chosen == [0, 1]  # symmetric diagonal: tie broken to id 0
     assert state.p2.max() <= 1e-9
     assert state.stop_reason == "budget"
@@ -36,7 +36,7 @@ def test_two_node_diffusion_budget_two(two_node_spectrum):
 
 def test_path3_spline_budget_one(path3_spectrum):
     kern = spline_kernel(path3_spectrum, eps=1.0, s=1.0)
-    state = select_nodes(path3_spectrum, kern, SelectorConfig(budget=1))
+    state = select_nodes(kernel_matrix(path3_spectrum, kern), SelectorConfig(budget=1))
     assert state.chosen == [0]  # end diagonal 0.625 beats center 0.5, tie to id 0
 
 
@@ -45,7 +45,7 @@ def test_full_budget_interpolates_everything():
     g = random_connected_graph(rng, 12, unit_spectral=True)
     s = eigendecompose(laplacian(g))
     kern = diffusion_kernel(s, -1.0)
-    state = select_nodes(s, kern, SelectorConfig(budget=12))
+    state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=12))
     assert len(state.chosen) == 12 or state.stop_reason in ("power-tolerance", "residual-tolerance")
     assert state.p2.max() <= 1e-12 or state.stop_reason == "budget"
     assert state.p2.max() <= 1e-9
@@ -54,7 +54,7 @@ def test_full_budget_interpolates_everything():
 def test_first_step_recursion_base_case(path3_spectrum):
     kern = spline_kernel(path3_spectrum, eps=1.0, s=1.0)
     diag = kernel_diag(path3_spectrum, kern)
-    state = new_state(path3_spectrum, kern, 1)
+    state = new_state(kernel_matrix(path3_spectrum, kern), 1)
     power_update_step(state, 0)
     col = kernel_column(path3_spectrum, kern, 0)
     n1 = col / np.sqrt(diag[0])
@@ -67,7 +67,7 @@ def test_first_step_recursion_base_case(path3_spectrum):
 
 def test_two_node_step_matches_direct_schur(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = new_state(two_node_spectrum, kern, 1)
+    state = new_state(kernel_matrix(two_node_spectrum, kern), 1)
     power_update_step(state, 0)
     k11 = (1 + E2) / 2
     k12 = (1 - E2) / 2
@@ -83,7 +83,7 @@ def test_incremental_agrees_with_direct():
         s = eigendecompose(laplacian(g))
         kern = diffusion_kernel(s, float(rng.uniform(-10, 10)))
         p_init = np.sqrt(kernel_diag(s, kern).max())
-        state = select_nodes(s, kern, SelectorConfig(budget=min(10, n - 1)))
+        state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=min(10, n - 1)))
         direct = power_direct(s, kern, state.chosen)
         assert np.abs(np.sqrt(state.p2) - direct).max() <= 1e-8 * p_init
 
@@ -95,7 +95,7 @@ def test_each_pick_is_brute_force_argmax():
         g = random_connected_graph(rng, n, unit_spectral=True)
         s = eigendecompose(laplacian(g))
         kern = diffusion_kernel(s, float(rng.uniform(-10, 10)))
-        state = select_nodes(s, kern, SelectorConfig(budget=min(6, n - 1)))
+        state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=min(6, n - 1)))
         for k, rec in enumerate(state.history):
             direct = power_direct(s, kern, state.chosen[:k])
             direct[state.chosen[:k]] = -np.inf
@@ -108,7 +108,7 @@ def test_max_power_monotone_in_history():
     g = random_connected_graph(rng, 30, unit_spectral=True)
     s = eigendecompose(laplacian(g))
     kern = diffusion_kernel(s, -4.0)
-    state = select_nodes(s, kern, SelectorConfig(budget=15))
+    state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=15))
     powers = [rec.max_power for rec in state.history]
     assert all(powers[i + 1] <= powers[i] + 1e-9 for i in range(len(powers) - 1))
 
@@ -118,8 +118,8 @@ def test_selection_deterministic():
     g = random_connected_graph(rng, 25, unit_spectral=True)
     s = eigendecompose(laplacian(g))
     kern = diffusion_kernel(s, 3.0)
-    a = select_nodes(s, kern, SelectorConfig(budget=10))
-    b = select_nodes(s, kern, SelectorConfig(budget=10))
+    a = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=10))
+    b = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=10))
     assert a.chosen == b.chosen
     assert np.array_equal(a.p2, b.p2)
     assert [r.max_power for r in a.history] == [r.max_power for r in b.history]
@@ -130,7 +130,7 @@ def test_residual_tracks_constant_one_interpolant():
     g = random_connected_graph(rng, 20, unit_spectral=True)
     s = eigendecompose(laplacian(g))
     kern = spline_kernel(s, eps=1.0, s=2.0)
-    state = select_nodes(s, kern, SelectorConfig(budget=6))
+    state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=6))
     model = fit(s, kern, state.chosen, np.ones(len(state.chosen)))
     recomputed = 1.0 - predict(model, s)
     assert np.abs(state.residual - recomputed).max() <= 1e-6
@@ -141,9 +141,9 @@ def test_warm_start_matches_manual_steps():
     g = random_connected_graph(rng, 15, unit_spectral=True)
     s = eigendecompose(laplacian(g))
     kern = diffusion_kernel(s, -2.0)
-    warm = select_nodes(s, kern, SelectorConfig(budget=3, initial=(4, 9)))
+    warm = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=3, initial=(4, 9)))
     assert warm.chosen[:2] == [4, 9]
-    manual = new_state(s, kern, 2)
+    manual = new_state(kernel_matrix(s, kern), 2)
     power_update_step(manual, 4)
     power_update_step(manual, 9)
     assert np.abs(warm.newton[:, :2] - manual.newton).max() <= 1e-12
@@ -153,7 +153,7 @@ def test_warm_start_matches_manual_steps():
 
 def test_repeat_node_rejected(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = new_state(two_node_spectrum, kern, 1)
+    state = new_state(kernel_matrix(two_node_spectrum, kern), 1)
     power_update_step(state, 0)
     with pytest.raises(ValueError, match="already"):
         power_update_step(state, 0)
@@ -161,7 +161,7 @@ def test_repeat_node_rejected(two_node_spectrum):
 
 def test_zero_pivot_rejected(two_node_spectrum):
     kern = diffusion_kernel(two_node_spectrum, 1.0)
-    state = new_state(two_node_spectrum, kern, 2)
+    state = new_state(kernel_matrix(two_node_spectrum, kern), 2)
     power_update_step(state, 0)
     power_update_step(state, 1)
     state.chosen.clear()  # force a step on an exhausted node
@@ -183,7 +183,7 @@ def test_noisy_update_is_the_noisy_posterior(coeff):
     else:
         kern = diffusion_kernel(s, 1.0)
     sigma2 = 1e-3
-    state = new_state(s, kern, 3, sigma2=sigma2)
+    state = new_state(kernel_matrix(s, kern), 3, sigma2=sigma2)
     for w in (0, 5, 9):
         power_update_step(state, w)
         np.testing.assert_allclose(np.sqrt(state.p2), power_direct(s, kern, state.chosen, sigma2),
@@ -199,19 +199,19 @@ def test_pivot_includes_the_noise_variance():
     rng = np.random.default_rng(3)
     s = eigendecompose(laplacian(random_connected_graph(rng, 10)))
     kern = custom_kernel(s, [1.0] + [1e-30] * 9)
-    state = new_state(s, kern, 2)
+    state = new_state(kernel_matrix(s, kern), 2)
     power_update_step(state, 0)
     with pytest.raises(ZeroPivotError, match="at node 5 is at or below the guard"):
         power_update_step(state, 5)
     with pytest.raises(ValueError, match="sigma2 must be nonnegative and finite"):
-        new_state(s, kern, 2, sigma2=-1.0)
+        new_state(kernel_matrix(s, kern), 2, sigma2=-1.0)
 
 
 @pytest.mark.parametrize("w", [-1, 3])
 def test_out_of_range_node_rejected_before_the_state_moves(path3_spectrum, w):
     # A row of K is read by index, and K[-1] would silently be the last row.
     kern = diffusion_kernel(path3_spectrum, 1.0)
-    state = new_state(path3_spectrum, kern, 2)
+    state = new_state(kernel_matrix(path3_spectrum, kern), 2)
     power_update_step(state, 1)
     chosen, p2, residual = list(state.chosen), state.p2.copy(), state.residual.copy()
     with pytest.raises(ValueError, match="out of range"):
@@ -223,7 +223,7 @@ def test_out_of_range_node_rejected_before_the_state_moves(path3_spectrum, w):
 
 def test_newton_basis_holds_budget_plus_warm_start_columns(path3_spectrum):
     kern = diffusion_kernel(path3_spectrum, 1.0)
-    state = select_nodes(path3_spectrum, kern, SelectorConfig(budget=1, initial=(2,)))
+    state = select_nodes(kernel_matrix(path3_spectrum, kern), SelectorConfig(budget=1, initial=(2,)))
     assert state.basis.shape == (3, 2) and len(state.chosen) == 2
     chosen, p2, residual = list(state.chosen), state.p2.copy(), state.residual.copy()
     (w,) = {0, 1, 2} - set(chosen)
@@ -241,23 +241,23 @@ def test_state_kernel_matrix_is_the_c_ordered_full_matrix():
     rng = np.random.default_rng(31)
     s = eigendecompose(laplacian(random_connected_graph(rng, 20, unit_spectral=True)))
     kern = diffusion_kernel(s, -2.0)
-    state = new_state(s, kern, 5)
+    state = new_state(kernel_matrix(s, kern), 5)
     assert state.k.flags.c_contiguous and state.basis.flags.c_contiguous
     assert np.array_equal(state.k, kernel_matrix(s, kern))
-    assert np.array_equal(state.p2, kernel_diag(s, kern))
+    assert np.array_equal(state.p2, np.diag(state.k))
 
 
 def test_newton_columns_match_a_kernel_column_replay():
-    # The selector reads rows of its own K; the replay runs the same recursion
-    # on columns from the eigenbasis (kernel_column), which shares no matrix
-    # with it.
+    # The selector reads rows and the diagonal of its own K; the replay runs
+    # the same recursion on columns and a diagonal from the eigenbasis
+    # (kernel_column, kernel_diag), which share neither with it.
     rng = np.random.default_rng(37)
     for _ in range(5):
         n = int(rng.integers(10, 40))
         s = eigendecompose(laplacian(random_connected_graph(rng, n, unit_spectral=True)))
         kern = diffusion_kernel(s, float(rng.uniform(-10, 10)))
-        chosen = select_nodes(s, kern, SelectorConfig(budget=min(10, n - 1))).chosen
-        state = new_state(s, kern, len(chosen))
+        chosen = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=min(10, n - 1))).chosen
+        state = new_state(kernel_matrix(s, kern), len(chosen))
         scale = np.sqrt(state.p2_scale)
         p2 = kernel_diag(s, kern)
         newton = np.zeros((n, len(chosen)))
@@ -271,15 +271,17 @@ def test_newton_columns_match_a_kernel_column_replay():
 
 
 def test_indefinite_kernel_refused(path3_spectrum):
+    # The selector's only input is the full K, whose build is the one
+    # positive-definiteness gate.
     kern = custom_kernel(path3_spectrum, [1.0, -1.0, 1.0])
     with pytest.raises(IndefiniteKernelError):
-        select_nodes(path3_spectrum, kern, SelectorConfig(budget=1))
+        kernel_matrix(path3_spectrum, kern)
 
 
 def test_budget_infeasible(path3_spectrum):
     kern = diffusion_kernel(path3_spectrum, 1.0)
     with pytest.raises(ValueError, match="budget"):
-        select_nodes(path3_spectrum, kern, SelectorConfig(budget=3, initial=(0,)))
+        select_nodes(kernel_matrix(path3_spectrum, kern), SelectorConfig(budget=3, initial=(0,)))
     with pytest.raises(ValueError):
         SelectorConfig(budget=0)
 
@@ -323,7 +325,7 @@ def test_tolerance_stop_before_budget():
     g = random_connected_graph(rng, 20, unit_spectral=True)
     s = eigendecompose(laplacian(g))
     kern = diffusion_kernel(s, 12.0)
-    state = select_nodes(s, kern, SelectorConfig(budget=19, tolerance=1e-3))
+    state = select_nodes(kernel_matrix(s, kern), SelectorConfig(budget=19, tolerance=1e-3))
     assert state.stop_reason in ("power-tolerance", "residual-tolerance")
     assert len(state.chosen) < 19
     assert state.p2.max() < 1e-3
@@ -335,7 +337,7 @@ def test_numerical_exhaustion_stop():
     # a tolerance of 1e-300.
     g = Graph(n=30, edges=tuple((i, i + 1, 1.0) for i in range(29)))
     s = eigendecompose(laplacian(g))
-    state = select_nodes(s, diffusion_kernel(s, 20.0), SelectorConfig(budget=30, tolerance=1e-300))
+    state = select_nodes(kernel_matrix(s, diffusion_kernel(s, 20.0)), SelectorConfig(budget=30, tolerance=1e-300))
     assert state.stop_reason == "numerical-exhaustion"
     assert len(state.chosen) == 15
     assert 1e-300 < state.p2.max() <= state.pivot_guard
