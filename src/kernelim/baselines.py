@@ -1,16 +1,17 @@
 """Stochastic and centrality baselines: Independent Cascade, PageRank.
 
-Cascades are simulated in the live-edge form: every directed edge keeps its
-own coin, drawn once per run, and a run's outcome is the set reachable from
-the seeds over live edges.  This is distributionally identical to activating
-neighbors one attempt at a time, and it makes the coins independent of the
-seed set, so runs sharing a sample are exactly monotone under seed growth and
-safe to reuse across candidates.  One reachability pass over a sample gives
-every node's reach set; a seed set's spread is the size of the union of its
-members' sets, so every candidate and every prefix is counted from the same
-pass.  Scoring draws run r from substream (master_seed, r); IC-greedy draws
-its one sample set from the disjoint substreams (master_seed, r, 1), so its
-picks are always scored out of sample.
+Cascades are simulated in the live-edge form with one coin per undirected
+edge, drawn once per run: a run's outcome is the union of the seeds'
+connected components over the live edges.  A cascade tries each edge at most
+once, from whichever end it reaches first, so this is the same law as
+activating neighbors one attempt at a time, and it makes the coins
+independent of the seed set, so runs sharing a sample are exactly monotone
+under seed growth and safe to reuse across candidates.  One union-find pass
+over a sample gives every node's component; a seed set's spread is the size
+of the union of its members' components, so every candidate and every prefix
+is counted from the same pass.  Scoring draws run r from substream
+(master_seed, r); IC-greedy draws its one sample set from the disjoint
+substreams (master_seed, r, 1), so its picks are always scored out of sample.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import ConvergenceError
-from .graphs import Graph, top_n
+from .graphs import Graph, finite_degrees, top_n
 
 DEFAULT_DAMPING = 0.85
 
@@ -52,73 +53,38 @@ class SpreadEstimate:
     runs: int
 
 
-def _reach_masks(succ: list[list[int]]) -> list[int]:
-    """Bitmask of the nodes reachable from each node (itself included) along
-    the arcs `succ`, built once per strongly connected component.
+def _component_masks(n: int, edges) -> list[int]:
+    """Bitmask of each node's connected component over the undirected `edges`;
+    every member of a component shares one int."""
+    parent = list(range(n))
 
-    Iterative Tarjan: a component closes only after every component it reaches
-    has closed, so its mask is its members OR the finished masks of their
-    successors, and every member shares it.  A node is still on the Tarjan
-    stack exactly when it has been visited and its mask is 0.
-    """
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    reach = [0] * n
-    stack: list[int] = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, arcs = work[-1]
-            for w in arcs:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if not reach[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    members = []
-                    mask = 0
-                    u = -1
-                    while u != v:
-                        u = stack.pop()
-                        members.append(u)
-                        mask |= 1 << u
-                        for w in succ[u]:
-                            mask |= reach[w]  # 0 inside this component, final outside
-                    for u in members:
-                        reach[u] = mask
-    return reach
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    roots = [root(v) for v in range(n)]
+    masks = dict.fromkeys(roots, 0)
+    for v, r in enumerate(roots):
+        masks[r] |= 1 << v
+    return [masks[r] for r in roots]
 
 
 def _samples(g: Graph, cfg: ICConfig, *key):
-    """Reach masks (see `_reach_masks`) of each run's live-edge sample, run r
-    drawn from substream (master_seed, r, *key): arc e is live when its
-    uniform draw is < p, arcs 2j and 2j+1 being u->v and v->u of edge j.
+    """Component masks (see `_component_masks`) of each run's live edges, run r
+    drawn from substream (master_seed, r, *key): edge j is live when draw j of
+    `random(m)` is < p.
 
     numpy's SeedSequence pads its entropy with zero words, so a key must end
     in a nonzero word: (master_seed, r, 0) is the same stream as (master_seed, r).
     """
-    arcs = [arc for u, v, _ in g.edges for arc in ((u, v), (v, u))]
+    ends = [(u, v) for u, v, _ in g.edges]
     for run in range(cfg.runs):
-        live = np.random.default_rng((cfg.master_seed, run, *key)).random(len(arcs)) < cfg.p
-        succ: list[list[int]] = [[] for _ in range(g.n)]
-        for u, w in compress(arcs, live.tolist()):
-            succ[u].append(w)
-        yield _reach_masks(succ)
+        live = np.random.default_rng((cfg.master_seed, run, *key)).random(len(ends)) < cfg.p
+        yield _component_masks(g.n, list(compress(ends, live.tolist())))
 
 
 def _prefix_counts(g: Graph, node_lists, cfg: ICConfig) -> list[np.ndarray]:
@@ -168,7 +134,7 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
     """Greedy seed selection under estimated marginal spread, ties to the smallest id.
 
     One sample set, run r from substream (master_seed, r, 1), serves every
-    round.  A node's gain is the number of nodes its reach sets add to the
+    round.  A node's gain is the number of nodes its components add to the
     chosen seeds', summed over the runs; on a fixed set it is monotone and
     submodular, so lazy (CELF) re-evaluation picks exactly what eager greedy would.
     """
@@ -212,7 +178,8 @@ def iteration_cap(damping: float, tol: float) -> int:
 def pagerank(g: Graph, damping: float = DEFAULT_DAMPING, tol: float = 1e-9) -> np.ndarray:
     """Power iteration with uniform teleport and weighted transitions.
 
-    Dangling nodes redistribute their mass uniformly.  Converges when the L1
+    Dangling nodes redistribute their mass uniformly; a weighted degree that
+    overflows is refused (see `finite_degrees`).  Converges when the L1
     change between iterates drops below `tol`, which the iteration reaches
     within `iteration_cap(damping, tol)` steps (133 at 0.85, 2132 at 0.99)
     unless `tol` is below the rounding of the iterates.
@@ -221,7 +188,8 @@ def pagerank(g: Graph, damping: float = DEFAULT_DAMPING, tol: float = 1e-9) -> n
     max_iter = iteration_cap(damping, tol)
     n = g.n
     trans = g.adjacency()
-    deg = trans.sum(axis=1)
+    with np.errstate(over="ignore"):
+        deg = finite_degrees(trans.sum(axis=1))
     dangling = deg == 0
     trans /= np.where(dangling, 1.0, deg)[:, None]  # D^-1 A in place; a dangling row stays zero
 

@@ -100,12 +100,21 @@ class Graph:
         return a
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node."""
-        d = np.zeros(self.n)
+        """Weighted degree of every node, summed in edge order."""
+        d = [0.0] * self.n  # Python floats: an overflow gives inf, not a warning
         for u, v, w in self.edges:
             d[u] += w
             d[v] += w
-        return d
+        return finite_degrees(np.array(d))
+
+
+def finite_degrees(deg: np.ndarray) -> np.ndarray:
+    """`deg` itself, once every weighted degree in it is finite: finite
+    weights can still sum to inf."""
+    if not np.all(np.isfinite(deg)):
+        node = int(np.argmin(np.isfinite(deg)))
+        raise GraphFormatError(f"weighted degree of node {node} overflows to {deg[node]}")
+    return deg
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -322,14 +331,11 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:
     """Standard (D - A) or normalized (D^-1/2 L D^-1/2) graph Laplacian.
 
-    Every weighted degree must be finite: finite weights can still sum to inf.
+    Every weighted degree must be finite (see `finite_degrees`).
     """
     ls = g.adjacency()
     with np.errstate(over="ignore"):
-        deg = ls.sum(axis=1)
-    if not np.all(np.isfinite(deg)):
-        node = int(np.argmin(np.isfinite(deg)))
-        raise GraphFormatError(f"weighted degree of node {node} overflows to {deg[node]}")
+        deg = finite_degrees(ls.sum(axis=1))
     np.subtract(0.0, ls, out=ls)  # -A in place, keeping +0.0 off the edges as D - A does
     np.fill_diagonal(ls, deg)
     if kind is LaplacianKind.STANDARD:

@@ -180,16 +180,14 @@ def random_graph_with_isolated_nodes(rng, n):
 def ic_live_digraph(g: Graph, p: float, key) -> scipy.sparse.csr_matrix:
     """Live-edge digraph of one IC sample as a sparse matrix.
 
-    Edge j = (u, v) gives arcs 2j (u->v) and 2j+1 (v->u); arc a is live when
-    draw a of default_rng(key).random(2m) is below p.
+    Edge j = (u, v) is live, as both arcs u->v and v->u, when draw j of
+    default_rng(key).random(m) is below p.
     """
     ends = np.array([(u, v) for u, v, _ in g.edges], dtype=int).reshape(-1, 2)
-    u, v = ends[:, 0], ends[:, 1]
-    src = np.column_stack([u, v]).ravel()
-    dst = np.column_stack([v, u]).ravel()
-    live = np.random.default_rng(key).random(len(src)) < p
-    data = np.ones(int(live.sum()))
-    return scipy.sparse.csr_matrix((data, (src[live], dst[live])), shape=(g.n, g.n))
+    live = ends[np.random.default_rng(key).random(len(ends)) < p]
+    src = np.concatenate([live[:, 0], live[:, 1]])
+    dst = np.concatenate([live[:, 1], live[:, 0]])
+    return scipy.sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(g.n, g.n))
 
 
 def reach_oracle(live: scipy.sparse.csr_matrix, seeds) -> set:

@@ -1,6 +1,12 @@
+import warnings
+from collections import defaultdict
+from fractions import Fraction
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from kernelim import (
     Graph,
@@ -13,8 +19,8 @@ from kernelim import (
     pagerank,
     pagerank_top_n,
 )
-from kernelim.baselines import _prefix_counts, _reach_masks, iteration_cap
-from kernelim.errors import ConvergenceError
+from kernelim.baselines import _component_masks, _prefix_counts, iteration_cap
+from kernelim.errors import ConvergenceError, GraphFormatError
 
 from helpers import (
     component_of,
@@ -24,7 +30,6 @@ from helpers import (
     pagerank_oracle,
     random_connected_graph,
     random_graph_with_isolated_nodes,
-    reach_oracle,
 )
 
 
@@ -165,11 +170,12 @@ def test_greedy_samples_are_never_scoring_samples(monkeypatch):
     # Same master seed, same run count: no live-edge draw of the greedy set may
     # reappear among the samples that score its picks.
     g = random_connected_graph(np.random.default_rng(4), 40)
-    assert 2 * len(g.edges) >= 100
+    assert len(g.edges) >= 100
     cfg = ICConfig(p=0.2, runs=20, master_seed=3)
     drawn = []
-    reach_masks = baselines._reach_masks
-    monkeypatch.setattr(baselines, "_reach_masks", lambda succ: drawn.append(repr(succ)) or reach_masks(succ))
+    component_masks = baselines._component_masks
+    monkeypatch.setattr(baselines, "_component_masks",
+                        lambda n, edges: drawn.append(repr(edges)) or component_masks(n, edges))
     ic_greedy_select(g, 5, cfg)
     greedy, drawn[:] = set(drawn), []
     ic_score(g, [[0]], cfg)
@@ -177,44 +183,109 @@ def test_greedy_samples_are_never_scoring_samples(monkeypatch):
     assert len(greedy) == len(set(drawn)) == cfg.runs
 
 
-def _random_arcs(rng, n, q):
-    return [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < q]
+def _random_edges(rng, n, q):
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < q]
 
 
-def _digraph_cases():
+def _undirected_cases():
     rng = np.random.default_rng(31)
     perm = rng.permutation(40).tolist()
     return {
-        "random-sparse": (40, _random_arcs(rng, 40, 0.03)),
-        "random-mixed": (60, _random_arcs(rng, 60, 0.05)),
-        "random-dense": (30, _random_arcs(rng, 30, 0.2)),
-        # one 40-cycle, a tail leaving it and an arc back in; 42..44, 46..49 isolated
-        "long-cycle": (50, [(i, (i + 1) % 40) for i in range(40)] + [(39, 40), (40, 41), (45, 5)]),
-        # {0..5} (a 6-cycle around the 3-cycle 1-2-3) reaches {6,7,8} by two arcs and
-        # {9,10} directly and through {6,7,8}; {11,12} reaches {0..5}; the chain
-        # 15->16->17 enters {6,7,8}; 13 and 14 are isolated
+        "random-sparse": (40, _random_edges(rng, 40, 0.03)),
+        "random-mixed": (60, _random_edges(rng, 60, 0.02)),
+        "random-dense": (30, _random_edges(rng, 30, 0.2)),
+        # a 40-cycle with a tail; 42..49 isolated
+        "long-cycle": (50, [(i, (i + 1) % 40) for i in range(40)] + [(39, 40), (40, 41)]),
+        # cycles joined by paths, some listed larger end first: {0..12, 15..17}
+        # is one component; 13 and 14 are isolated
         "nested-sccs": (18, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (3, 1),
                              (5, 6), (2, 7), (6, 7), (7, 8), (8, 6), (8, 9), (9, 10),
                              (10, 9), (0, 10), (11, 12), (12, 11), (12, 0),
                              (15, 16), (16, 17), (17, 6)]),
+        # {0..4} (a path) and {5..7} (a triangle), both listed larger end first
+        "two-components": (8, [(1, 0), (2, 1), (3, 2), (4, 3), (6, 5), (7, 6), (7, 5)]),
         "isolated-only": (5, []),
-        # a Hamiltonian cycle in shuffled order plus chords: one component
+        # a Hamiltonian cycle in shuffled order, a repeated edge and chords: one component
         "single-scc": (40, [(perm[i], perm[(i + 1) % 40]) for i in range(40)]
-                       + _random_arcs(rng, 40, 0.05)),
+                       + [(perm[1], perm[0])] + _random_edges(rng, 40, 0.05)),
         "deep-path": (1200, [(i, i + 1) for i in range(1199)]),
     }
 
 
-@pytest.mark.parametrize("case", list(_digraph_cases()))
+@pytest.mark.parametrize("case", list(_undirected_cases()))
 def test_reach_masks_match_sparse_oracle(case):
-    n, arcs = _digraph_cases()[case]
-    succ = [[] for _ in range(n)]
-    for u, v in arcs:
-        succ[u].append(v)
-    ends = np.array(arcs, dtype=int).reshape(-1, 2)
-    live = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
-    expected = [sum(1 << w for w in reach_oracle(live, [v])) for v in range(n)]
-    assert _reach_masks(succ) == expected
+    # A node's reach mask in a live-edge sample is its connected component.
+    n, edges = _undirected_cases()[case]
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
+    graph = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    expected = []
+    for v in range(n):
+        order = breadth_first_order(graph, v, directed=False, return_predecessors=False)
+        expected.append(sum(1 << w for w in order.tolist()))
+    masks = _component_masks(n, edges)
+    assert masks == expected
+    for v in range(n):  # every member of a component holds the same int
+        assert masks[v] is masks[(masks[v] & -masks[v]).bit_length() - 1]
+
+
+def _arc_law(n, edges, seed_sets, p):
+    """Law of each seed set's reached set with one coin per arc: every one of
+    the 2^(2m) arc patterns, the reached set found by a directed BFS."""
+    arcs = [arc for u, v in edges for arc in ((u, v), (v, u))]
+    laws = [defaultdict(Fraction) for _ in seed_sets]
+    for pattern in product((False, True), repeat=len(arcs)):
+        live = sum(pattern)
+        weight = p**live * (1 - p) ** (len(arcs) - live)
+        succ = [[] for _ in range(n)]
+        for (u, v), on in zip(arcs, pattern):
+            if on:
+                succ[u].append(v)
+        for seeds, law in zip(seed_sets, laws):
+            reached, queue = set(seeds), list(seeds)
+            while queue:
+                for w in succ[queue.pop()]:
+                    if w not in reached:
+                        reached.add(w)
+                        queue.append(w)
+            law[frozenset(reached)] += weight
+    return laws
+
+
+def _edge_law(n, edges, seed_sets, p):
+    """Law of each seed set's reached set with one coin per edge: every one of
+    the 2^m edge patterns, the reached set the OR of the seeds' component masks."""
+    laws = [defaultdict(Fraction) for _ in seed_sets]
+    for pattern in product((False, True), repeat=len(edges)):
+        live = sum(pattern)
+        weight = p**live * (1 - p) ** (len(edges) - live)
+        masks = _component_masks(n, [e for e, on in zip(edges, pattern) if on])
+        for seeds, law in zip(seed_sets, laws):
+            reached = 0
+            for s in seeds:
+                reached |= masks[s]
+            law[frozenset(v for v in range(n) if reached >> v & 1)] += weight
+    return laws
+
+
+@pytest.mark.parametrize("n, edges", [
+    (2, [(0, 1)]),
+    (3, [(0, 1), (1, 2)]),
+    (4, [(0, 1), (0, 2), (1, 2), (2, 3)]),          # a triangle with a pendant
+    (5, [(0, 1), (1, 2), (3, 4)]),                  # two components
+    (5, [(0, 1), (0, 2), (0, 3)]),                  # a star and an isolated node
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),  # a 4-cycle with a chord
+], ids=["edge", "path", "triangle-pendant", "two-components", "star-isolated", "cycle-chord"])
+@pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(2, 3)], ids=["p1/5", "p2/3"])
+def test_one_coin_per_edge_has_the_per_arc_law(n, edges, p):
+    # A cascade tries each edge at most once, from whichever end it reaches
+    # first, so the reached set has the same law with one coin per edge as
+    # with one coin per arc, exactly, for every seed set.
+    seed_sets = [seeds for size in (1, 2) for seeds in combinations(range(n), size)]
+    per_edge = _edge_law(n, edges, seed_sets, p)
+    per_arc = _arc_law(n, edges, seed_sets, p)
+    for seeds, by_edge, by_arc in zip(seed_sets, per_edge, per_arc):
+        assert sum(by_edge.values()) == sum(by_arc.values()) == 1
+        assert dict(by_edge) == dict(by_arc), seeds
 
 
 def test_greedy_budget_validation(star4):
@@ -228,6 +299,21 @@ def test_pagerank_top_n_count_out_of_range(path3):
     for n_sel in (0, 4):
         with pytest.raises(ValueError, match=f"n_sel must be in 1..3, got {n_sel}"):
             pagerank_top_n(path3, n_sel)
+
+
+@pytest.mark.parametrize("rank", [
+    lambda g: pagerank(g),
+    lambda g: pagerank_top_n(g, 2),
+    lambda g: degree_top_n(g, 2),
+    lambda g: g.degrees(),
+], ids=["pagerank", "pagerank_top_n", "degree_top_n", "degrees"])
+def test_rankings_refuse_an_overflowing_degree_without_a_warning(rank):
+    # Each weight is finite; node 0's degree 2e308 is not, as `laplacian` finds too.
+    g = Graph(n=4, edges=((0, 1, 1e308), (0, 2, 1e308), (2, 3, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphFormatError, match="^weighted degree of node 0 overflows to inf$"):
+            rank(g)
 
 
 def test_pagerank_single_node():

@@ -320,9 +320,9 @@ def test_compare_golden_hash(tmp_path):
                              "--ic-runs", "50", "--seed", "0", "-o", "report.csv"], tmp_path)
     lines = (tmp_path / "report.csv").read_bytes().splitlines(keepends=True)
     assert hashlib.sha256(b"".join(lines)).hexdigest() == (
-        "c783e2903de4cbac77eb085be4495957864507a1493f68b8f4954038474d6ece")
+        "df880630f47bfe4a3ebc617783b40643438a7a85e6d2b68c1a963cf584f42c99")
     assert hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"ic,"))).hexdigest() == (
-        "37cf555f52aa6c2ac934baae8748f95e74feed0c825e5edd830b6baeb0122967")
+        "7f8617fead84bb9613b4c052451bc315d698a9b785166aa2a1e00faec0c39a1d")
 
 
 @pytest.mark.parametrize("jitter, digest", [

@@ -86,8 +86,9 @@ def test_comparison_draws_each_scoring_sample_once(monkeypatch):
     rng = np.random.default_rng(1)
     g, s, kern = _setup(rng)
     calls = []
-    reach_masks = baselines._reach_masks
-    monkeypatch.setattr(baselines, "_reach_masks", lambda succ: calls.append(1) or reach_masks(succ))
+    component_masks = baselines._component_masks
+    monkeypatch.setattr(baselines, "_component_masks",
+                        lambda n, edges: calls.append(1) or component_masks(n, edges))
     report = run_comparison(g, s, kern, budget=5, ic_cfg=ICConfig(p=0.2, runs=7, master_seed=4))
     assert [len(curve.nodes) for curve in report.curves] == [5, 5, 5, 5]
     assert len(calls) == 7 + 7  # IC-greedy: one set of runs; scoring: runs
