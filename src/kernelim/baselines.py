@@ -7,11 +7,12 @@ once, from whichever end it reaches first, so this is the same law as
 activating neighbors one attempt at a time, and it makes the coins
 independent of the seed set, so runs sharing a sample are exactly monotone
 under seed growth and safe to reuse across candidates.  One union-find pass
-over a sample gives every node's component; a seed set's spread is the size
-of the union of its members' components, so every candidate and every prefix
-is counted from the same pass.  Scoring draws run r from substream
-(master_seed, r); IC-greedy draws its one sample set from the disjoint
-substreams (master_seed, r, 1), so its picks are always scored out of sample.
+over a sample labels every node with its component's root; a seed set's
+spread is the summed size of its members' distinct labels, so every
+candidate and every prefix is counted from the same labels.  Scoring draws
+run r from substream (master_seed, r); IC-greedy draws its one sample set
+from the disjoint substreams (master_seed, r, 1), so its picks are always
+scored out of sample.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ class SpreadEstimate:
     runs: int
 
 
-def _component_masks(n: int, edges) -> list[int]:
-    """Bitmask of each node's connected component over the undirected `edges`;
-    every member of a component shares one int."""
+def _component_roots(n: int, edges) -> list[int]:
+    """Union-find root of each node: one root per connected component of `edges`."""
     parent = list(range(n))
 
     def root(v: int) -> int:
@@ -66,25 +66,26 @@ def _component_masks(n: int, edges) -> list[int]:
 
     for u, v in edges:
         parent[root(u)] = root(v)
-    roots = [root(v) for v in range(n)]
-    masks = dict.fromkeys(roots, 0)
-    for v, r in enumerate(roots):
-        masks[r] |= 1 << v
-    return [masks[r] for r in roots]
+    return [root(v) for v in range(n)]
 
 
-def _samples(g: Graph, cfg: ICConfig, *key):
-    """Component masks (see `_component_masks`) of each run's live edges, run r
-    drawn from substream (master_seed, r, *key): edge j is live when draw j of
-    `random(m)` is < p.
+def _samples(g: Graph, cfg: ICConfig, *key) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and sizes (int32, runs x n) of each run's live-edge components:
+    label[r, v] is v's root (see `_component_roots`) and size[r, c] counts the
+    nodes labelled c.  Run r draws from substream (master_seed, r, *key): edge
+    j is live when draw j of `random(m)` is < p.
 
     numpy's SeedSequence pads its entropy with zero words, so a key must end
     in a nonzero word: (master_seed, r, 0) is the same stream as (master_seed, r).
     """
     ends = [(u, v) for u, v, _ in g.edges]
+    label = np.empty((cfg.runs, g.n), dtype=np.int32)
+    size = np.empty_like(label)
     for run in range(cfg.runs):
         live = np.random.default_rng((cfg.master_seed, run, *key)).random(len(ends)) < cfg.p
-        yield _component_masks(g.n, list(compress(ends, live.tolist())))
+        label[run] = _component_roots(g.n, list(compress(ends, live.tolist())))
+        size[run] = np.bincount(label[run], minlength=g.n)
+    return label, size
 
 
 def _prefix_counts(g: Graph, node_lists, cfg: ICConfig) -> list[np.ndarray]:
@@ -94,22 +95,20 @@ def _prefix_counts(g: Graph, node_lists, cfg: ICConfig) -> list[np.ndarray]:
     node_lists = [[int(v) for v in nodes] for nodes in node_lists]
     if any(not 0 <= v < g.n for nodes in node_lists for v in nodes):
         raise ValueError(f"seed id out of range 0..{g.n - 1}")
-    counts = [np.zeros((len(nodes), cfg.runs), dtype=np.int64) for nodes in node_lists]
-    for r, reach in enumerate(_samples(g, cfg)):
-        for nodes, out in zip(node_lists, counts):
-            union = 0
-            for k, v in enumerate(nodes):
-                union |= reach[v]
-                out[k, r] = union.bit_count()
-    return counts
+    gains = [np.zeros((len(nodes), cfg.runs), dtype=np.int64) for nodes in node_lists]
+    label, size = _samples(g, cfg)
+    runs = np.arange(cfg.runs)
+    for nodes, out in zip(node_lists, gains):
+        left = size.copy()  # per run, the nodes the prefix does not reach yet
+        for k, v in enumerate(nodes):
+            out[k] = left[runs, label[:, v]]
+            left[runs, label[:, v]] = 0
+    return [out.cumsum(axis=0) for out in gains]
 
 
 def ic_spread(g: Graph, seeds, cfg: ICConfig) -> SpreadEstimate:
-    """Monte-Carlo estimate of the expected number of activated nodes.
-
-    Run r draws from the substream (master_seed, r); runs execute serially in
-    substream order.
-    """
+    """Monte-Carlo estimate of the expected number of activated nodes, on
+    `ic_score`'s samples: run r draws from substream (master_seed, r)."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed set must be nonempty")
@@ -140,11 +139,11 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
     """
     if not 1 <= budget <= g.n:
         raise ValueError(f"budget must be in 1..{g.n}, got {budget}")
-    reaches = list(_samples(g, cfg, 1))
-    outside = [-1] * cfg.runs  # per run, the nodes no chosen seed reaches
+    label, left = _samples(g, cfg, 1)  # left: per run, the nodes no chosen seed reaches
+    runs = np.arange(cfg.runs)
 
     def gain(v: int) -> int:
-        return sum((reach[v] & out).bit_count() for reach, out in zip(reaches, outside))
+        return int(left[runs, label[:, v]].sum())
 
     heap = [(-gain(v), v, 0) for v in range(g.n)]  # equal gains pop in id order
     heapq.heapify(heap)
@@ -155,7 +154,7 @@ def ic_greedy_select(g: Graph, budget: int, cfg: ICConfig) -> list[int]:
             heapq.heappush(heap, (-gain(v), v, len(chosen)))
             continue
         chosen.append(v)
-        outside = [out & ~reach[v] for reach, out in zip(reaches, outside)]
+        left[runs, label[:, v]] = 0
     return chosen
 
 

@@ -20,8 +20,9 @@ def check_sigma2(sigma2: float) -> None:
         raise ValueError("sigma2 must be nonnegative and finite")
 
 
-def _cho_factor(k_w: np.ndarray, sigma2: float):
-    """Lower Cholesky factor of K_W + sigma^2 I; a failed factorization is NotPositiveDefiniteError.
+def fit_coefficients(k_w: np.ndarray, y: np.ndarray, sigma2: float = 0.0) -> np.ndarray:
+    """Solve (K_W + sigma^2 I) c = y via Cholesky (no explicit inverse); a
+    failed factorization is NotPositiveDefiniteError.
 
     The caller's matrix is copied once, into the Fortran order in which LAPACK
     factors it in place; no identity, sum or further copy is built.
@@ -33,24 +34,13 @@ def _cho_factor(k_w: np.ndarray, sigma2: float):
     if sigma2:
         a[np.diag_indices_from(a)] += sigma2
     try:
-        return scipy.linalg.cho_factor(a, lower=True, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             "kernel submatrix is not positive definite; "
             "consider --jitter or --clamp-spectrum"
         ) from None
-
-
-def _cho_solve(k_w: np.ndarray, sigma2: float, b: np.ndarray) -> np.ndarray:
-    """Solve (K_W + sigma^2 I) x = b through `_cho_factor`."""
-    import scipy.linalg
-
-    return scipy.linalg.cho_solve(_cho_factor(k_w, sigma2), b)
-
-
-def fit_coefficients(k_w: np.ndarray, y: np.ndarray, sigma2: float = 0.0) -> np.ndarray:
-    """Solve (K_W + sigma^2 I) c = y via Cholesky (no explicit inverse)."""
-    return _cho_solve(k_w, sigma2, np.asarray(y, dtype=float))
+    return scipy.linalg.cho_solve(factor, np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ def power_direct(spectrum: Spectrum, kernel: GbfKernel, sampling_set, sigma2: fl
     if nodes:
         k_w = kernel_matrix(spectrum, kernel, nodes, nodes)
         cross = kernel_matrix(spectrum, kernel, None, nodes)
-        p2 -= np.sum(cross * _cho_solve(k_w, sigma2, cross.T).T, axis=1)
+        p2 -= np.sum(cross * fit_coefficients(k_w, cross.T, sigma2).T, axis=1)
         if sigma2 == 0.0:
             # At sampled nodes the cross-covariance is a column of K_W, so the
             # Schur complement vanishes identically; write the exact zero.

@@ -15,6 +15,11 @@ _RAMP = (
     (253, 231, 37),
 )
 
+# Canvas side and border, and node radius, in SVG user units.
+_SIZE = 640
+_MARGIN = 30
+_RADIUS = 5.0
+
 
 def _color(t: float) -> str:
     t = min(max(t, 0.0), 1.0)
@@ -32,39 +37,32 @@ def check_positions(graph: Graph) -> None:
         raise ValueError("graph has no node positions; nothing to plot")
 
 
-def selection_svg(
-    graph: Graph,
-    values: np.ndarray,
-    chosen=(),
-    size: int = 640,
-    margin: int = 30,
-    radius: float = 5.0,
-) -> str:
+def selection_svg(graph: Graph, values: np.ndarray, chosen=()) -> str:
     """Scatter of node positions colored by `values`, chosen nodes circled."""
     check_positions(graph)
     values = np.asarray(values, dtype=float)
     pos = graph.positions
     lo = pos.min(axis=0)
     span = np.maximum(pos.max(axis=0) - lo, 1e-30)
-    scale = (size - 2 * margin) / span.max()
+    scale = (_SIZE - 2 * _MARGIN) / span.max()
     vmax = max(float(values.max()), 1e-30)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     chosen = set(int(v) for v in chosen)
     for i in range(graph.n):
-        x = margin + (pos[i, 0] - lo[0]) * scale
-        y = size - margin - (pos[i, 1] - lo[1]) * scale  # flip: SVG y grows downward
+        x = _MARGIN + (pos[i, 0] - lo[0]) * scale
+        y = _SIZE - _MARGIN - (pos[i, 1] - lo[1]) * scale  # flip: SVG y grows downward
         parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius}" '
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{_RADIUS}" '
             f'fill="{_color(values[i] / vmax)}"/>'
         )
         if i in chosen:
             parts.append(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius + 2.5:.1f}" '
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{_RADIUS + 2.5:.1f}" '
                 f'fill="none" stroke="black" stroke-width="1.5"/>'
             )
     parts.append("</svg>")

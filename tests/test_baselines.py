@@ -19,7 +19,7 @@ from kernelim import (
     pagerank,
     pagerank_top_n,
 )
-from kernelim.baselines import _component_masks, _prefix_counts, iteration_cap
+from kernelim.baselines import _component_roots, _prefix_counts, _samples, iteration_cap
 from kernelim.errors import ConvergenceError, GraphFormatError
 
 from helpers import (
@@ -97,8 +97,11 @@ def test_run_counts_match_sparse_oracle():
 def test_spread_validation(star4):
     with pytest.raises(ValueError):
         ic_spread(star4, [], ICConfig(p=0.5, runs=10))
-    with pytest.raises(ValueError):
-        ic_spread(star4, [9], ICConfig(p=0.5, runs=10))
+    for seeds in ([9], [-1]):  # a negative id would otherwise index from the end
+        with pytest.raises(ValueError, match=r"seed id out of range 0\.\.3"):
+            ic_spread(star4, seeds, ICConfig(p=0.5, runs=10))
+    with pytest.raises(ValueError, match=r"seed id out of range 0\.\.3"):
+        ic_score(star4, [[-1]], ICConfig(p=0.5, runs=10))
     with pytest.raises(ValueError):
         ICConfig(p=1.5, runs=10)
     with pytest.raises(ValueError):
@@ -173,9 +176,9 @@ def test_greedy_samples_are_never_scoring_samples(monkeypatch):
     assert len(g.edges) >= 100
     cfg = ICConfig(p=0.2, runs=20, master_seed=3)
     drawn = []
-    component_masks = baselines._component_masks
-    monkeypatch.setattr(baselines, "_component_masks",
-                        lambda n, edges: drawn.append(repr(edges)) or component_masks(n, edges))
+    component_roots = baselines._component_roots
+    monkeypatch.setattr(baselines, "_component_roots",
+                        lambda n, edges: drawn.append(repr(edges)) or component_roots(n, edges))
     ic_greedy_select(g, 5, cfg)
     greedy, drawn[:] = set(drawn), []
     ic_score(g, [[0]], cfg)
@@ -212,20 +215,31 @@ def _undirected_cases():
     }
 
 
+def _members(labels):
+    """Each node's label class: the nodes that carry its label."""
+    classes = defaultdict(set)
+    for v, c in enumerate(labels):
+        classes[c].add(v)
+    return [classes[c] for c in labels]
+
+
 @pytest.mark.parametrize("case", list(_undirected_cases()))
 def test_reach_masks_match_sparse_oracle(case):
-    # A node's reach mask in a live-edge sample is its connected component.
+    # Two nodes share a root exactly when they share a connected component of
+    # the live edges, and a root's size counts its component's nodes.
     n, edges = _undirected_cases()[case]
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     graph = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
-    expected = []
-    for v in range(n):
-        order = breadth_first_order(graph, v, directed=False, return_predecessors=False)
-        expected.append(sum(1 << w for w in order.tolist()))
-    masks = _component_masks(n, edges)
-    assert masks == expected
-    for v in range(n):  # every member of a component holds the same int
-        assert masks[v] is masks[(masks[v] & -masks[v]).bit_length() - 1]
+    expected = [set(breadth_first_order(graph, v, directed=False, return_predecessors=False).tolist())
+                for v in range(n)]
+    assert _members(_component_roots(n, edges)) == expected
+    # At p = 1 every edge of every run is live.
+    g = Graph(n=n, edges=tuple({(min(e), max(e), 1.0) for e in edges}))
+    label, size = _samples(g, ICConfig(p=1.0, runs=2))
+    for row, counts in zip(label.tolist(), size):
+        assert _members(row) == expected
+        assert counts[row].tolist() == [len(component) for component in expected]
+        assert counts.sum() == n
 
 
 def _arc_law(n, edges, seed_sets, p):
@@ -253,17 +267,15 @@ def _arc_law(n, edges, seed_sets, p):
 
 def _edge_law(n, edges, seed_sets, p):
     """Law of each seed set's reached set with one coin per edge: every one of
-    the 2^m edge patterns, the reached set the OR of the seeds' component masks."""
+    the 2^m edge patterns, the reached set the nodes that share a seed's root."""
     laws = [defaultdict(Fraction) for _ in seed_sets]
     for pattern in product((False, True), repeat=len(edges)):
         live = sum(pattern)
         weight = p**live * (1 - p) ** (len(edges) - live)
-        masks = _component_masks(n, [e for e, on in zip(edges, pattern) if on])
+        roots = _component_roots(n, [e for e, on in zip(edges, pattern) if on])
         for seeds, law in zip(seed_sets, laws):
-            reached = 0
-            for s in seeds:
-                reached |= masks[s]
-            law[frozenset(v for v in range(n) if reached >> v & 1)] += weight
+            hit = {roots[s] for s in seeds}
+            law[frozenset(v for v in range(n) if roots[v] in hit)] += weight
     return laws
 
 

@@ -311,8 +311,8 @@ def _run_at_blas_threads(threads, argv, cwd):
 def test_compare_golden_hash(tmp_path):
     # Desk-scale graph and a 50-run IC baseline, recorded and run with one BLAS
     # thread.  meta.json is not pinned because it embeds the package version.
-    # The rows of every method but ic have a pin of their own, so a change to the
-    # IC-greedy picks alone leaves that one standing.
+    # The kernel, pagerank and degree rows without their ic_score column have a
+    # pin of their own, so a change to the IC draws alone leaves that one standing.
     assert main(["gen", "--nodes", "79", "--link-radius", "0.2", "--seed", "7",
                  "-o", str(tmp_path / "graph.json")]) == 0
     _run_at_blas_threads(1, ["compare", "--graph", "graph.json", "--laplacian", "normalized",
@@ -321,8 +321,10 @@ def test_compare_golden_hash(tmp_path):
     lines = (tmp_path / "report.csv").read_bytes().splitlines(keepends=True)
     assert hashlib.sha256(b"".join(lines)).hexdigest() == (
         "df880630f47bfe4a3ebc617783b40643438a7a85e6d2b68c1a963cf584f42c99")
-    assert hashlib.sha256(b"".join(line for line in lines if not line.startswith(b"ic,"))).hexdigest() == (
-        "7f8617fead84bb9613b4c052451bc315d698a9b785166aa2a1e00faec0c39a1d")
+    rows = [line.split(b",")[:5] for line in lines[1:]]
+    selectors = b"\n".join(b",".join(row) for row in rows if row[0] in (b"kernel", b"pagerank", b"degree"))
+    assert hashlib.sha256(selectors).hexdigest() == (
+        "91b3b698fb8ba62872de3949b374580b81cbe84d447fa6238ae92b0fa408e311")
 
 
 @pytest.mark.parametrize("jitter, digest", [

@@ -86,9 +86,9 @@ def test_comparison_draws_each_scoring_sample_once(monkeypatch):
     rng = np.random.default_rng(1)
     g, s, kern = _setup(rng)
     calls = []
-    component_masks = baselines._component_masks
-    monkeypatch.setattr(baselines, "_component_masks",
-                        lambda n, edges: calls.append(1) or component_masks(n, edges))
+    component_roots = baselines._component_roots
+    monkeypatch.setattr(baselines, "_component_roots",
+                        lambda n, edges: calls.append(1) or component_roots(n, edges))
     report = run_comparison(g, s, kern, budget=5, ic_cfg=ICConfig(p=0.2, runs=7, master_seed=4))
     assert [len(curve.nodes) for curve in report.curves] == [5, 5, 5, 5]
     assert len(calls) == 7 + 7  # IC-greedy: one set of runs; scoring: runs
