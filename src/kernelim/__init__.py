@@ -32,10 +32,9 @@ from .kernels import (
     kernel_matrix,
     parse_kernel_spec,
     read_kernel_spec,
-    rkhs_norm,
     spectral_coefficients,
     spline_kernel,
 )
 from .pgreedy import SelectionState, SelectorConfig, power_update_step, select_nodes
-from .spectral import Spectrum, convolve, eigendecompose, gft
+from .spectral import Spectrum, eigendecompose, gft
 from .tuning import CvResult, CvSpec, cv_error, grid_search, kfold_partition, log_grid

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -78,12 +77,11 @@ def _samples(g: Graph, cfg: ICConfig, *key) -> tuple[np.ndarray, np.ndarray]:
     numpy's SeedSequence pads its entropy with zero words, so a key must end
     in a nonzero word: (master_seed, r, 0) is the same stream as (master_seed, r).
     """
-    ends = [(u, v) for u, v, _ in g.edges]
     label = np.empty((cfg.runs, g.n), dtype=np.int32)
     size = np.empty_like(label)
     for run in range(cfg.runs):
-        live = np.random.default_rng((cfg.master_seed, run, *key)).random(len(ends)) < cfg.p
-        label[run] = _component_roots(g.n, list(compress(ends, live.tolist())))
+        live = np.random.default_rng((cfg.master_seed, run, *key)).random(g.edge_count) < cfg.p
+        label[run] = _component_roots(g.n, list(zip(g.u[live].tolist(), g.v[live].tolist())))
         size[run] = np.bincount(label[run], minlength=g.n)
     return label, size
 

@@ -42,70 +42,80 @@ class LaplacianKind(Enum):
             raise ValueError(f"unknown laplacian kind {name!r}; expected {expected}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Simple undirected graph with strictly positive edge weights.
 
     Nodes are dense integers 0..n-1.  When a file used other identifiers,
-    `labels` maps each dense id back to the original token.  Edges are stored
-    canonically as (u, v, w) with u < v, sorted by (u, v).
+    `labels` maps each dense id back to the original token.  The (u, v, w)
+    triples of `edges` are stored as three read-only arrays sorted by (u, v):
+    `u` and `v` (int64, u < v) and `w` (float64).
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
-    positions: np.ndarray | None = None
-    labels: tuple[str, ...] | None = None
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    positions: np.ndarray | None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges, positions=None, labels=None):
+        if n < 1:
             raise GraphFormatError("graph needs at least one node")
-        canon = []
-        seen = set()
-        for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphFormatError(f"edge ({u},{v}) references a node outside 0..{self.n - 1}")
-            if u == v:
-                raise GraphFormatError(f"self-loop on node {u} is not allowed")
-            if not (w > 0 and math.isfinite(w)):
-                raise GraphFormatError(f"edge ({u},{v}) has non-positive weight {w}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            canon.append((key[0], key[1], w))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
-        if self.positions is not None:
-            pos = np.asarray(self.positions, dtype=float)
-            if pos.shape != (self.n, 2):
-                raise GraphFormatError(f"positions must have shape ({self.n}, 2), got {pos.shape}")
-            object.__setattr__(self, "positions", pos)
-        if self.labels is not None:
-            labels = tuple(str(t) for t in self.labels)
-            if len(labels) != self.n:
-                raise GraphFormatError("label table length must equal the node count")
-            object.__setattr__(self, "labels", labels)
+        u, v, w = _edge_arrays(n, edges)
+        if positions is not None and (positions := np.asarray(positions, dtype=float)).shape != (n, 2):
+            raise GraphFormatError(f"positions must have shape ({n}, 2), got {positions.shape}")
+        if labels is not None and len(labels := tuple(str(t) for t in labels)) != n:
+            raise GraphFormatError("label table length must equal the node count")
+        for array in (u, v, w):
+            array.flags.writeable = False
+        for name, value in dict(n=n, u=u, v=v, w=w, positions=positions, labels=labels).items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        a[self.u, self.v] = a[self.v, self.u] = self.w
         return a
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node, summed in edge order."""
-        d = [0.0] * self.n  # Python floats: an overflow gives inf, not a warning
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        return finite_degrees(np.array(d))
+        """Weighted degree of every node, summed in edge order (u0, v0, u1, v1, ...)."""
+        ends = np.stack([self.u, self.v], axis=1).ravel()
+        return finite_degrees(np.bincount(ends, weights=np.repeat(self.w, 2), minlength=self.n))
+
+
+def _edge_arrays(n: int, edges) -> tuple[np.ndarray, ...]:
+    """(u, v, w) arrays of the triples `edges`, u < v, sorted by (u, v).  The
+    first bad record in input order is refused by the first check it fails:
+    range, self-loop, weight, duplicate.  Ids are compared as Python ints."""
+    rec = np.array(edges, dtype=object).reshape(len(edges), 3)
+    ids = np.frompyfunc(int, 1, 1)(rec[:, :2])
+    w = rec[:, 2].astype(float)
+    inside = ((ids >= 0) & (ids < n)).all(axis=1)
+    lo, hi = np.sort(np.where(inside[:, None], ids, 0).astype(np.int64), axis=1).T
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)  # an earlier record joins the same pair
+    repeat[order[1:]] = np.diff(key[order]) == 0
+    bad = np.stack([~inside, lo == hi, ~((w > 0) & np.isfinite(w)), repeat])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        a, b = ids[i]
+        raise GraphFormatError([
+            f"edge ({a},{b}) references a node outside 0..{n - 1}",
+            f"self-loop on node {a} is not allowed",
+            f"edge ({a},{b}) has non-positive weight {float(w[i])}",
+            f"duplicate edge ({lo[i]},{hi[i]})",
+        ][bad[:, i].argmax()])
+    return lo[order], hi[order], w[order]
 
 
 def finite_degrees(deg: np.ndarray) -> np.ndarray:
@@ -119,6 +129,7 @@ def finite_degrees(deg: np.ndarray) -> np.ndarray:
 
 def _parse_edge_list(text: str) -> Graph:
     raw = []
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -126,35 +137,30 @@ def _parse_edge_list(text: str) -> Graph:
         tokens = body.split()
         if len(tokens) not in (2, 3):
             raise GraphFormatError(f"line {lineno}: expected 'u v [w]', got {len(tokens)} fields")
-        if tokens[0] == tokens[1]:
-            raise GraphFormatError(f"line {lineno}: self-loop on node {tokens[0]!r}")
+        u, v, w = tokens[0], tokens[1], 1.0
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop on node {u!r}")
         if len(tokens) == 3:
             try:
                 w = read_float(tokens[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: weight {tokens[2]!r} is not a number") from None
-        else:
-            w = 1.0
-        raw.append((lineno, tokens[0], tokens[1], w))
+            if not (w > 0 and math.isfinite(w)):
+                raise GraphFormatError(f"line {lineno}: edge ({u},{v}) has non-positive weight {w}")
+        if frozenset((u, v)) in seen:  # distinct tokens get distinct ids
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({u},{v})")
+        seen.add(frozenset((u, v)))
+        raw.append((u, v, w))
     if not raw:
         raise GraphFormatError("edge list contains no edges")
-    tokens = [t for _, u, v, _ in raw for t in (u, v)]
+    tokens = [t for u, v, _ in raw for t in (u, v)]
     # Numeric token sets sort by (value, text): 0-based files map to themselves, "0" before "00".
     numeric = all(t.removeprefix("-").isdecimal() for t in tokens)
     labels = tuple(sorted(set(tokens), key=(lambda t: (int(t), t)) if numeric else None))
     ids = {t: i for i, t in enumerate(labels)}
-    edges = []
-    seen = set()
-    for lineno, u, v, w in raw:
-        a, b = ids[u], ids[v]
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append((key[0], key[1], w))
     if labels == tuple(str(i) for i in range(len(labels))):
         labels = None
-    return Graph(n=len(ids), edges=tuple(edges), labels=labels)
+    return Graph(n=len(ids), edges=[(ids[u], ids[v], w) for u, v, w in raw], labels=labels)
 
 
 def _parse_json_graph(text: str) -> Graph:
@@ -184,18 +190,12 @@ def _parse_json_graph(text: str) -> Graph:
             positions[v] = [_json_number(c, f"node {v}: 'pos' entry") for c in pos]
     labels = None
     if any("label" in m for m in nodes):
-        labels = [""] * n
-        for v, m in zip(ids, nodes):
-            labels[v] = str(m.get("label", m["id"]))
-        labels = tuple(labels)
-    edges = tuple(
-        (
-            _json_int(e["u"], f"edge record {i}: u"),
-            _json_int(e["v"], f"edge record {i}: v"),
-            _json_number(e.get("w", 1.0), f"edge record {i}: weight"),
-        )
+        labels = [m.get("label", m["id"]) for _, m in sorted(zip(ids, nodes))]  # ids are distinct
+    edges = [
+        (_json_int(e["u"], f"edge record {i}: u"), _json_int(e["v"], f"edge record {i}: v"),
+         _json_number(e.get("w", 1.0), f"edge record {i}: weight"))
         for i, e in enumerate(doc["edges"])
-    )
+    ]
     return Graph(n=n, edges=edges, positions=positions, labels=labels)
 
 
@@ -316,8 +316,7 @@ def generate_points_graph(
     surv = pts[keep]
 
     rows, cols = np.nonzero(np.triu(_distances(surv, surv) <= link_radius, 1))
-    edges = tuple((i, j, 1.0) for i, j in zip(rows.tolist(), cols.tolist()))
-    return Graph(n=surv.shape[0], edges=edges, positions=surv)
+    return Graph(n=surv.shape[0], edges=np.column_stack((rows, cols, np.ones_like(rows))), positions=surv)
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

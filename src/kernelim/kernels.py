@@ -19,7 +19,7 @@ from .errors import (
     SplineSingularityError,
 )
 from .graphs import read_float
-from .spectral import Spectrum, gft
+from .spectral import Spectrum
 
 DIFFUSION = "diffusion"
 SPLINE = "spline"
@@ -185,17 +185,6 @@ def kernel_column(spectrum: Spectrum, kernel: GbfKernel, w: int) -> np.ndarray:
 def kernel_diag(spectrum: Spectrum, kernel: GbfKernel) -> np.ndarray:
     """Diagonal entries K(v, v) for every node."""
     return (spectrum.eigenvectors**2) @ kernel.coefficients
-
-
-def rkhs_inner(kernel: GbfKernel, spectrum: Spectrum, x: np.ndarray, y: np.ndarray) -> float:
-    """Native-space inner product sum_k x_k y_k / f_k (positive definite only)."""
-    if not kernel.is_positive_definite:
-        raise IndefiniteKernelError("native-space inner product needs all coefficients > 0")
-    return float(np.sum(gft(spectrum, x) * gft(spectrum, y) / kernel.coefficients))
-
-
-def rkhs_norm(kernel: GbfKernel, spectrum: Spectrum, x: np.ndarray) -> float:
-    return float(np.sqrt(rkhs_inner(kernel, spectrum, x, x)))
 
 
 def _parse_params(body: str, spec: str) -> dict:

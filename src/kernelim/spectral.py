@@ -1,4 +1,4 @@
-"""Laplacian eigendecomposition, graph Fourier transform, generalized convolution."""
+"""Laplacian eigendecomposition and graph Fourier transform."""
 
 from __future__ import annotations
 
@@ -77,8 +77,3 @@ def gft(s: Spectrum, x: np.ndarray, direction: str = "forward") -> np.ndarray:
     if direction == "inverse":
         return s.eigenvectors @ x
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def convolve(s: Spectrum, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Generalized convolution: filter x by the Fourier coefficients of y."""
-    return gft(s, gft(s, y) * gft(s, x), "inverse")

@@ -3,8 +3,11 @@
 Oracles here deliberately avoid the library's own code paths (union-find for
 components, truncated Taylor for the matrix exponential, dense linear solves
 for PageRank, posterior variance and cross-validation, scipy.sparse.csgraph
-search for Independent Cascade reach).
+search for Independent Cascade reach, per-edge Python loops for the edge
+validation, the adjacency and the degrees).
 """
+
+import math
 
 import numpy as np
 import scipy.sparse
@@ -12,7 +15,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from kernelim import Graph, laplacian
 from kernelim.baselines import iteration_cap
-from kernelim.errors import ConvergenceError
+from kernelim.errors import ConvergenceError, GraphFormatError
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.15, weight_lo=0.5, weight_hi=1.5,
@@ -48,6 +51,45 @@ def random_graph(rng, n, edge_prob=0.1, weight_lo=0.5, weight_hi=1.5):
     if not edges:
         edges.append((0, min(1, n - 1) or 1, 1.0))
     return Graph(n=n, edges=tuple(edges))
+
+
+def canonical_edges_loop(n, edges):
+    """The per-edge loop `Graph` once validated its edges with: the canonical
+    sorted (u, v, w) triples, or GraphFormatError naming the first bad record."""
+    canon = []
+    seen = set()
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) references a node outside 0..{n - 1}")
+        if u == v:
+            raise GraphFormatError(f"self-loop on node {u} is not allowed")
+        if not (w > 0 and math.isfinite(w)):
+            raise GraphFormatError(f"edge ({u},{v}) has non-positive weight {w}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        canon.append((key[0], key[1], w))
+    return tuple(sorted(canon))
+
+
+def adjacency_loop(g: Graph) -> np.ndarray:
+    """Dense adjacency written one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        a[u, v] = w
+        a[v, u] = w
+    return a
+
+
+def degrees_loop(g: Graph) -> np.ndarray:
+    """Weighted degrees summed in Python floats, one edge at a time in edge order."""
+    d = [0.0] * g.n
+    for u, v, w in g.edges:
+        d[u] += w
+        d[v] += w
+    return np.array(d)
 
 
 def component_count(g: Graph) -> int:
@@ -183,7 +225,7 @@ def ic_live_digraph(g: Graph, p: float, key) -> scipy.sparse.csr_matrix:
     Edge j = (u, v) is live, as both arcs u->v and v->u, when draw j of
     default_rng(key).random(m) is below p.
     """
-    ends = np.array([(u, v) for u, v, _ in g.edges], dtype=int).reshape(-1, 2)
+    ends = np.stack([g.u, g.v], axis=1)
     live = ends[np.random.default_rng(key).random(len(ends)) < p]
     src = np.concatenate([live[:, 0], live[:, 1]])
     dst = np.concatenate([live[:, 1], live[:, 0]])

@@ -185,6 +185,15 @@ def test_spectrum_malformed_graph_json_exits_1(tmp_path, capsys, doc, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("weight, shown", [("-1", "-1.0"), ("0", "0.0"), ("inf", "inf"), ("nan", "nan")],
+                         ids=["negative", "zero", "inf", "nan"])
+def test_edge_list_weight_error_names_the_line_and_the_file_ids(tmp_path, capsys, weight, shown):
+    graph = _edge_list(tmp_path, f"10 20 1\n20 30 {weight}\n")
+    assert main(["spectrum", "--graph", str(graph), "-o", str(tmp_path / "eig.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"kernelim: error: line 2: edge (20,30) has non-positive weight {shown}\n")
+
+
 @pytest.mark.parametrize("spec, code, message", [
     ("diffusion:t=nan", 1, "kernel parameter t=nan is not finite"),
     ("spline:eps=0.01,s=inf", 1, "kernel parameter s=inf is not finite"),

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from kernelim import (
 from kernelim.errors import GraphFormatError
 from kernelim.graphs import read_float, read_int, top_n
 
-from helpers import component_count, random_graph
+from helpers import adjacency_loop, canonical_edges_loop, component_count, degrees_loop, random_graph
 
 # Golden values for the pinned sensor generator (count=79, seed=7, thin 0,
 # link 0.2), recorded from the first run.
@@ -111,6 +113,59 @@ def test_non_positive_weight_rejected():
         Graph(n=2, edges=((0, 1, float("nan")),))
     with pytest.raises(GraphFormatError):
         Graph(n=2, edges=((0, 1, float("inf")),))
+
+
+@st.composite
+def _edge_records(draw):
+    # Small graphs whose records mix valid ids with out-of-range, huge and float ones,
+    # and valid weights with bad ones; some records repeat a pair in either orientation.
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from([1.0, 2.5])
+    good = node.flatmap(lambda u: st.tuples(st.just(u), node.filter(lambda v: v != u), weight))
+    any_node = node | st.sampled_from([-1, n, 10**30, -(10**30), 2.0])
+    any_weight = weight | st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+    record = st.integers(0, 5).flatmap(
+        lambda k: st.tuples(any_node, any_node, any_weight) if k == 5 or n == 1 else good)
+    edges = draw(st.lists(record, max_size=6))
+    for u, v, _ in draw(st.lists(st.sampled_from(edges), max_size=1)) if edges else []:
+        pair = (v, u) if draw(st.booleans()) else (u, v)
+        edges.insert(draw(st.integers(0, len(edges))), (*pair, draw(any_weight)))
+    return n, edges
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(case=_edge_records())
+def test_graph_validation_matches_the_reference_loop(case):
+    n, edges = case
+    try:
+        expected = canonical_edges_loop(n, edges)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as refused:
+            Graph(n=n, edges=edges)
+        assert str(refused.value) == str(exc)
+    else:
+        assert Graph(n=n, edges=edges).edges == expected
+
+
+def test_adjacency_and_degrees_keep_the_bits_of_the_edge_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        g = random_graph(rng, int(rng.integers(2, 40)), edge_prob=float(rng.uniform(0.05, 0.5)),
+                         weight_lo=1e-3, weight_hi=1e3)
+        assert g.adjacency().tobytes() == adjacency_loop(g).tobytes()
+        assert g.degrees().tobytes() == degrees_loop(g).tobytes()
+
+
+def test_edge_arrays_are_canonical_and_frozen():
+    g = Graph(n=4, edges=((3, 1, 0.5), (0, 2, 1.5), (1, 0, 2.0)))
+    assert (g.u.dtype, g.v.dtype, g.w.dtype) == (np.int64, np.int64, np.float64)
+    assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0, 0, 1], [1, 2, 3], [2.0, 1.5, 0.5])
+    for array in (g.u, g.v, g.w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.w = np.ones(3)
 
 
 def test_json_round_trip(tmp_path):

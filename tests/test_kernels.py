@@ -10,7 +10,6 @@ from kernelim import (
     Graph,
     Spectrum,
     clamp_spectrum,
-    convolve,
     custom_kernel,
     diffusion_kernel,
     eigendecompose,
@@ -20,7 +19,6 @@ from kernelim import (
     kernel_matrix,
     laplacian,
     parse_kernel_spec,
-    rkhs_norm,
     spectral_coefficients,
     spline_kernel,
 )
@@ -32,7 +30,7 @@ from kernelim.errors import (
     KernelSpecError,
     SplineSingularityError,
 )
-from kernelim.kernels import check_kernel_params, read_kernel_spec, rkhs_inner
+from kernelim.kernels import check_kernel_params, read_kernel_spec
 
 from helpers import expm_taylor, random_connected_graph
 
@@ -198,34 +196,10 @@ def test_diffusion_equals_matrix_exponential():
         assert np.abs(k - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
-def test_rkhs_norm_of_fourier_mode(two_node_spectrum):
-    kern = diffusion_kernel(two_node_spectrum, 1.0)
-    u2 = two_node_spectrum.eigenvectors[:, 1]
-    assert abs(rkhs_norm(kern, two_node_spectrum, u2) - 1 / np.sqrt(E2)) <= 1e-12
-    assert rkhs_norm(kern, two_node_spectrum, np.zeros(2)) == 0.0
-
-
-def test_rkhs_norm_brute_force(two_node_spectrum):
-    rng = np.random.default_rng(9)
-    kern = diffusion_kernel(two_node_spectrum, 1.0)
-    x = rng.normal(size=2)
-    xh = gft(two_node_spectrum, x)
-    expected = np.sqrt(xh[0] ** 2 + xh[1] ** 2 / E2)
-    assert abs(rkhs_norm(kern, two_node_spectrum, x) - expected) <= 1e-12
-
-
-def test_rkhs_norm_refuses_indefinite(path3_spectrum):
-    kern = custom_kernel(path3_spectrum, [1.0, 0.0, 2.0])
-    with pytest.raises(IndefiniteKernelError):
-        rkhs_norm(kern, path3_spectrum, np.ones(3))
-
-
 def test_signal_lengths_are_checked_by_gft(path3_spectrum):
-    kern = diffusion_kernel(path3_spectrum, t=-1.0)
-    with pytest.raises(ValueError, match=re.escape("signal length (2,) does not match n=3")):
-        convolve(path3_spectrum, np.ones(2), np.ones(3))
-    with pytest.raises(ValueError, match=re.escape("signal length (2,) does not match n=3")):
-        rkhs_inner(kern, path3_spectrum, np.ones(3), np.ones(2))
+    for direction in ("forward", "inverse"):
+        with pytest.raises(ValueError, match=re.escape("signal length (2,) does not match n=3")):
+            gft(path3_spectrum, np.ones(2), direction)
 
 
 def test_reproducing_property():
@@ -237,7 +211,9 @@ def test_reproducing_property():
     for _ in range(5):
         x = rng.normal(size=g.n)
         w = int(rng.integers(0, g.n))
-        assert abs(rkhs_inner(kern, s, x, full[:, w]) - x[w]) <= 1e-8
+        # native-space inner product <x, K(., w)> = sum_k x^_k K(., w)^_k / f_k
+        inner = np.sum(gft(s, x) * gft(s, full[:, w]) / kern.coefficients)
+        assert abs(inner - x[w]) <= 1e-8
 
 
 def test_spectral_coefficients_direct_call(two_node_spectrum):

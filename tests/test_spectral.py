@@ -5,7 +5,6 @@ import pytest
 
 from kernelim import (
     LaplacianKind,
-    convolve,
     diffusion_kernel,
     eigendecompose,
     gft,
@@ -167,45 +166,12 @@ def test_gft_validation(path3_spectrum):
         gft(path3_spectrum, np.ones(3), direction="sideways")
 
 
-def test_convolve_identity_filter():
-    rng = np.random.default_rng(7)
-    g = random_connected_graph(rng, 15)
-    s = eigendecompose(laplacian(g))
-    y = s.eigenvectors @ np.ones(15)  # all-ones Fourier coefficients
-    x = rng.normal(size=15)
-    assert np.abs(convolve(s, y, x) - x).max() <= 1e-10
-
-
 def test_convolve_delta_is_kernel_column(path3_spectrum):
+    # The GBF definition: column w of K is the delta at w filtered by the coefficients f.
     kern = diffusion_kernel(path3_spectrum, 0.7)
-    f = gft(path3_spectrum, kern.coefficients, direction="inverse")
     full = kernel_matrix(path3_spectrum, kern)
     for w in range(3):
         delta = np.zeros(3)
         delta[w] = 1.0
-        assert np.abs(convolve(path3_spectrum, delta, f) - full[:, w]).max() <= 1e-10
-
-
-def test_convolve_zero_signal(path3_spectrum):
-    y = np.ones(3)
-    assert np.allclose(convolve(path3_spectrum, y, np.zeros(3)), 0.0)
-
-
-def test_convolve_dimension_mismatch(path3_spectrum):
-    with pytest.raises(ValueError):
-        convolve(path3_spectrum, np.ones(2), np.ones(3))
-    with pytest.raises(ValueError):
-        convolve(path3_spectrum, np.ones(3), np.ones(4))
-
-
-def test_convolve_unit_signal_symmetry():
-    rng = np.random.default_rng(8)
-    g = random_connected_graph(rng, 12)
-    s = eigendecompose(laplacian(g))
-    f = rng.normal(size=12)
-    out = np.zeros((12, 12))
-    for v in range(12):
-        delta = np.zeros(12)
-        delta[v] = 1.0
-        out[:, v] = convolve(s, delta, f)
-    assert np.abs(out - out.T).max() <= 1e-9
+        filtered = gft(path3_spectrum, kern.coefficients * gft(path3_spectrum, delta), "inverse")
+        assert np.abs(filtered - full[:, w]).max() <= 1e-10
