@@ -1,11 +1,11 @@
 """Command-line interface: gen | select | tune | compare | spectrum.
 
-All randomness flows from --seed (fixed default 0), so identical command lines
-produce byte-identical outputs at a fixed BLAS thread count on one machine.
-Another thread count moves the last bits of float outputs, and for tune more:
-a grid point's score can switch between finite and +inf, and a finite score
-moved by up to 23% on the measured graphs.  The greedy's tie band keeps the
-selected node lists equal on the measured cases.
+All randomness flows from --seed (fixed default 0), so identical command lines produce
+byte-identical outputs at a fixed BLAS thread count on one machine.  Another thread count
+moves the last bits of the floats computed from the eigenbasis and the kernel (PageRank and
+degrees never call BLAS), and for tune more: a grid point's score can switch between finite
+and +inf, and a finite score moved by up to 23% on the measured graphs.  The greedy's tie
+band keeps the selected node lists equal on the measured cases.
 Usage and input errors exit 1; numerical failures exit 2.
 """
 

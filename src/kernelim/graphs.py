@@ -80,16 +80,16 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.w)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        a[self.u, self.v] = a[self.v, self.u] = self.w
-        return a
-
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node, summed in edge order (u0, v0, u1, v1, ...)."""
+        """Weighted degree of every node, summed in edge order (u0, v0, u1, v1, ...):
+        the one degree of the Laplacian, PageRank and the degree ranking.  Finite
+        weights can still sum to inf; such a degree is refused."""
         ends = np.stack([self.u, self.v], axis=1).ravel()
-        return finite_degrees(np.bincount(ends, weights=np.repeat(self.w, 2), minlength=self.n))
+        deg = np.bincount(ends, weights=np.repeat(self.w, 2), minlength=self.n)
+        if not np.all(np.isfinite(deg)):
+            node = int(np.argmin(np.isfinite(deg)))
+            raise GraphFormatError(f"weighted degree of node {node} overflows to {deg[node]}")
+        return deg
 
 
 def _edge_arrays(n: int, edges) -> tuple[np.ndarray, ...]:
@@ -116,15 +116,6 @@ def _edge_arrays(n: int, edges) -> tuple[np.ndarray, ...]:
             f"duplicate edge ({lo[i]},{hi[i]})",
         ][bad[:, i].argmax()])
     return lo[order], hi[order], w[order]
-
-
-def finite_degrees(deg: np.ndarray) -> np.ndarray:
-    """`deg` itself, once every weighted degree in it is finite: finite
-    weights can still sum to inf."""
-    if not np.all(np.isfinite(deg)):
-        node = int(np.argmin(np.isfinite(deg)))
-        raise GraphFormatError(f"weighted degree of node {node} overflows to {deg[node]}")
-    return deg
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -328,39 +319,56 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:
-    """Standard (D - A) or normalized (D^-1/2 L D^-1/2) graph Laplacian.
-
-    Every weighted degree must be finite (see `finite_degrees`).
-    """
-    ls = g.adjacency()
-    with np.errstate(over="ignore"):
-        deg = finite_degrees(ls.sum(axis=1))
-    np.subtract(0.0, ls, out=ls)  # -A in place, keeping +0.0 off the edges as D - A does
-    np.fill_diagonal(ls, deg)
+    """Standard (D - A) or normalized (D^-1/2 L D^-1/2) graph Laplacian, D from
+    `Graph.degrees`: each edge writes two entries, every other off-diagonal is +0.0."""
+    deg = g.degrees()
     if kind is LaplacianKind.STANDARD:
-        return ls
-    if kind is LaplacianKind.NORMALIZED:
+        off, diag = -g.w, deg
+    elif kind is LaplacianKind.NORMALIZED:
         if np.any(deg <= 0):
             isolated = int(np.argmax(deg <= 0))
             raise GraphFormatError(
                 f"normalized Laplacian undefined: node {isolated} is isolated"
             )
-        dinv = 1.0 / np.sqrt(deg)
-        ls *= dinv[:, None]
-        ls *= dinv[None, :]
-        ln = ls + ls.T
-        ln /= 2.0  # exact symmetry under rounding
-        return ln
-    raise ValueError(f"unknown Laplacian kind {kind!r}")
+        d = 1.0 / np.sqrt(deg)
+        du, dv = d[g.u], d[g.v]
+        # The dense (L + L^T) / 2 of the scaled (L_uv d_u) d_v and (L_vu d_v) d_u, bit for bit
+        off = ((-g.w * du) * dv + (-g.w * dv) * du) / 2.0
+        diag = deg * d * d
+    else:
+        raise ValueError(f"unknown Laplacian kind {kind!r}")
+    ls = np.zeros((g.n, g.n))
+    ls[g.u, g.v] = ls[g.v, g.u] = off
+    np.fill_diagonal(ls, diag)
+    return ls
+
+
+# A score short of the maximum by at most 256 eps times a scale counts as tied with it, so
+# rounding (another BLAS thread count, another summation order) does not pick between them.
+TIE_BAND_FACTOR = 256 * 2.0**-52
+
+
+def smallest_in_band(scores: np.ndarray, best: float, scale: float, among: np.ndarray) -> int:
+    """Smallest id `among` the candidates whose score is in the tie band of `best`, their maximum."""
+    return int((among & (scores >= best - TIE_BAND_FACTOR * scale)).argmax())
 
 
 def top_n(scores: np.ndarray, n_sel: int) -> list[int]:
-    """The `n_sel` nodes of highest score, ties broken by ascending id."""
+    """The `n_sel` nodes of highest score, ties broken by ascending id: scores in the tie band
+    (scale: the largest magnitude) of the largest one left count as tied.  Scores must be finite."""
     if not 1 <= n_sel <= len(scores):
         raise ValueError(f"n_sel must be in 1..{len(scores)}, got {n_sel}")
-    return [int(i) for i in np.argsort(-scores, kind="stable")[:n_sel]]
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores to rank must be finite")
+    scale = float(np.abs(scores).max())
+    left = np.ones(len(scores), dtype=bool)
+    picks = []
+    for _ in range(n_sel):
+        picks.append(smallest_in_band(scores, float(scores[left].max()), scale, left))
+        left[picks[-1]] = False
+    return picks
 
 
 def degree_top_n(g: Graph, n_sel: int) -> list[int]:
-    """Nodes by descending weighted degree, ties broken by ascending id."""
+    """Nodes by descending weighted degree, ties within the band broken by ascending id."""
     return top_n(g.degrees(), n_sel)

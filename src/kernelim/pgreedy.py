@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ZeroPivotError
 from .gpr import check_sigma2
+from .graphs import smallest_in_band
 from .kernels import kernel_column, kernel_diag  # noqa: F401  (unused; perfbench's spans look them up here until ROADMAP item 2)
 
 DEFAULT_TOLERANCE = 1e-12
@@ -24,11 +25,6 @@ DEFAULT_TOLERANCE = 1e-12
 # Pivots below 10 eps times the largest initial squared power are numerically
 # exhausted; stepping on them would divide rounding noise by itself.
 PIVOT_GUARD_FACTOR = 10 * np.finfo(float).eps
-
-# A squared power short of the maximum by at most 256 eps times the largest
-# initial squared power counts as tied with it, so rounding in the eigenbasis
-# (another BLAS thread count, another eigensolver) does not pick between them.
-TIE_BAND_FACTOR = 256 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -97,16 +93,14 @@ class SelectionState:
         return PIVOT_GUARD_FACTOR * self.p2_scale
 
     def best_node(self, best: float) -> int:
-        """Smallest id whose squared power lies within the tie band of `best`,
-        the maximum of `p2`.
+        """Smallest id whose squared power lies within the tie band of `best`, the
+        maximum of `p2`, on the scale of the largest initial squared power.
 
         Nodes at or below the pivot guard never count, so a chosen node (p2 = 0)
         is never returned even when the band reaches down to zero.  The maximum
         must lie above the guard, as it does whenever a step is taken.
         """
-        band = self.p2 >= best - TIE_BAND_FACTOR * self.p2_scale
-        band &= self.p2 > self.pivot_guard
-        return int(band.argmax())
+        return smallest_in_band(self.p2, best, self.p2_scale, self.p2 > self.pivot_guard)
 
     def max_power(self) -> float:
         return float(np.sqrt(max(self.p2.max(), 0.0)))

@@ -8,14 +8,20 @@ validation, the adjacency and the degrees).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order
 
+import kernelim
 from kernelim import Graph, laplacian
 from kernelim.baselines import iteration_cap
 from kernelim.errors import ConvergenceError, GraphFormatError
+from kernelim.graphs import TIE_BAND_FACTOR
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.15, weight_lo=0.5, weight_hi=1.5,
@@ -90,6 +96,52 @@ def degrees_loop(g: Graph) -> np.ndarray:
         d[u] += w
         d[v] += w
     return np.array(d)
+
+
+def top_n_loop(scores, n_sel):
+    """`top_n` as a Python loop: n_sel times, the smallest id whose score lies
+    within TIE_BAND_FACTOR * max|score| of the largest score left."""
+    band = TIE_BAND_FACTOR * max(abs(s) for s in scores)
+    left = list(range(len(scores)))
+    picks = []
+    for _ in range(n_sel):
+        best = max(scores[i] for i in left)
+        picks.append(min(i for i in left if scores[i] >= best - band))
+        left.remove(picks[-1])
+    return picks
+
+
+def mirrored_graph(rng, n, edge_prob=0.2):
+    """A random graph on n nodes, weights drawn from {0.1, 0.2, 0.3, 0.7}, joined
+    with a copy of itself relabelled by a random permutation, and the mirror
+    pairs (i, n + perm[i]), whose scores are equal in exact arithmetic."""
+    perm = rng.permutation(n)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                w = float(rng.choice([0.1, 0.2, 0.3, 0.7]))
+                edges += [(u, v, w), (n + perm[u], n + perm[v], w)]
+    return Graph(n=2 * n, edges=edges), [(i, n + int(perm[i])) for i in range(n)]
+
+
+def adjacent_twins(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u, v) whose ends have the same closed neighbourhood."""
+    closed = [{v} for v in range(g.n)]
+    for u, v, _ in g.edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    return [(u, v) for u, v, _ in g.edges if closed[u] == closed[v]]
+
+
+def run_python_at_blas_threads(threads, argv, cwd=None) -> str:
+    """Stdout of `python *argv` in a child process with `threads` BLAS threads
+    (BLAS reads its thread count at load time, so the count is set in a child)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "MKL_NUM_THREADS": str(threads)}
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
+                          check=True, text=True).stdout
 
 
 def component_count(g: Graph) -> int:
@@ -171,7 +223,7 @@ def cv_oracle(spectrum, coefficients, folds, target, metric, jitter=0.0):
 
 def pagerank_oracle(g: Graph, damping: float) -> np.ndarray:
     """Stationary scores from the dense linear system (I - d M^T) x = (1-d)/n."""
-    a = g.adjacency()
+    a = adjacency_loop(g)
     deg = a.sum(axis=1)
     m = np.zeros((g.n, g.n))
     for i in range(g.n):
@@ -181,11 +233,11 @@ def pagerank_oracle(g: Graph, damping: float) -> np.ndarray:
 
 
 def pagerank_copy_oracle(g: Graph, damping: float, tol: float = 1e-9) -> np.ndarray:
-    """The power iteration `pagerank` once ran, with D^-1 A built as a second
-    matrix: a zeros matrix, a row mask and a fancy-indexed copy."""
+    """The dense power iteration `pagerank` once ran, with D^-1 A built as a
+    second matrix: a zeros matrix, a row mask and a fancy-indexed copy."""
     max_iter = iteration_cap(damping, tol)
     n = g.n
-    a = g.adjacency()
+    a = adjacency_loop(g)
     deg = a.sum(axis=1)
     dangling = deg == 0
     trans = np.zeros((n, n))

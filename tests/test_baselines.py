@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import defaultdict
 from fractions import Fraction
@@ -13,6 +14,7 @@ from kernelim import (
     ICConfig,
     baselines,
     degree_top_n,
+    generate_points_graph,
     ic_greedy_select,
     ic_score,
     ic_spread,
@@ -21,15 +23,19 @@ from kernelim import (
 )
 from kernelim.baselines import _component_roots, _prefix_counts, _samples, iteration_cap
 from kernelim.errors import ConvergenceError, GraphFormatError
+from kernelim.graphs import top_n
 
 from helpers import (
+    adjacent_twins,
     component_of,
     ic_live_digraph,
     ic_reach_oracle,
+    mirrored_graph,
     pagerank_copy_oracle,
     pagerank_oracle,
     random_connected_graph,
     random_graph_with_isolated_nodes,
+    run_python_at_blas_threads,
 )
 
 
@@ -375,8 +381,8 @@ def test_pagerank_non_convergence():
 def test_pagerank_cap_follows_the_contraction_bound():
     assert [iteration_cap(d, 1e-9) for d in (0.5, 0.85, 0.99)] == [32, 133, 2132]
     assert iteration_cap(0.5, 5e-324) == 1076  # tol / 2 would underflow to 0
-    for tol in (0.0, -1.0, float("nan")):  # no step count meets these
-        with pytest.raises(ValueError, match="tol must be positive"):
+    for tol in (0.0, -1.0, float("nan"), float("inf")):  # no step count meets these
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             pagerank(Graph(n=2, edges=((0, 1, 1.0),)), tol=tol)
     # A path is bipartite, so its L1 change shrinks only by the damping per step.
     path = Graph(n=5, edges=tuple((i, i + 1, 1.0) for i in range(4)))
@@ -385,16 +391,59 @@ def test_pagerank_cap_follows_the_contraction_bound():
 
 @pytest.mark.parametrize("damping", [0.5, 0.85, 0.99])
 def test_pagerank_keeps_the_bits_of_the_copied_transition_matrix(damping):
-    # pagerank scales the adjacency in place; the oracle builds D^-1 A as a second matrix.
+    # pagerank sums each step over the arcs; the dense oracle runs the same
+    # iteration as a matrix-vector product, so the two agree to rounding, and
+    # the tie band ranks both sets of scores alike.
     rng = np.random.default_rng(14)
     for _ in range(60):
         g = random_graph_with_isolated_nodes(rng, int(rng.integers(2, 40)))
         expected = pagerank_copy_oracle(g, damping)
-        assert pagerank(g, damping=damping).tobytes() == expected.tobytes()
+        scores = pagerank(g, damping=damping)
+        assert np.all(np.abs(scores - expected) <= 1e-13 * expected)
         ids = np.arange(g.n)
         for k in (1, int(rng.integers(1, g.n + 1)), g.n):
-            assert pagerank_top_n(g, k, damping) == np.lexsort((ids, -expected))[:k].tolist()
+            assert pagerank_top_n(g, k, damping) == top_n(expected, k)
             assert degree_top_n(g, k) == np.lexsort((ids, -g.degrees()))[:k].tolist()
+
+
+def _ranked_late(order, pairs):
+    """The pairs whose larger id comes first in `order`."""
+    rank = np.argsort(order)
+    return [(a, b) for a, b in pairs if rank[min(a, b)] > rank[max(a, b)]]
+
+
+def test_rankings_put_the_smaller_id_of_every_tie_first():
+    # Mirror nodes of a graph joined with a relabelled copy, and adjacent twins,
+    # have equal scores in exact arithmetic; rounding must not order them.
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        g, mirrors = mirrored_graph(rng, int(rng.integers(3, 30)))
+        assert _ranked_late(pagerank_top_n(g, g.n), mirrors) == []
+        assert _ranked_late(degree_top_n(g, g.n), mirrors) == []
+    g = generate_points_graph(count=500, seed=7, link_radius=0.08)
+    twins = adjacent_twins(g)
+    assert (131, 276) in twins  # their PageRank scores differed by 1 ulp under the dense product
+    assert _ranked_late(pagerank_top_n(g, g.n), twins) == []
+    assert _ranked_late(degree_top_n(g, g.n), twins) == []
+
+
+def test_pagerank_does_not_depend_on_the_blas_thread_count():
+    probe = ("import hashlib; from kernelim import generate_points_graph, pagerank; "
+             "g = generate_points_graph(count=1500, seed=7, link_radius=0.06); "
+             "print(hashlib.sha256(pagerank(g).tobytes()).hexdigest())")
+    digests = [run_python_at_blas_threads(threads, ["-c", probe]) for threads in (1, 2)]
+    assert digests[0] == digests[1]
+
+
+def test_pagerank_builds_no_n_by_n_temporary():
+    g = generate_points_graph(count=1000, seed=7, link_radius=0.08)
+    tracemalloc.start()
+    try:
+        pagerank(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n**2 * 8 / 4
 
 
 def test_pagerank_top_n_ties_by_id(two_node):

@@ -21,6 +21,8 @@ from kernelim.cli import DEFAULT_GRIDS, main
 from kernelim.errors import NumericalError
 from kernelim.kernels import FAMILY_PARAMETERS
 
+from helpers import run_python_at_blas_threads
+
 
 @pytest.fixture
 def sensor_graph(tmp_path):
@@ -309,12 +311,7 @@ def test_compare_meta_names_the_clamp_floor(tmp_path, sensor_graph):
 
 
 def _run_at_blas_threads(threads, argv, cwd):
-    # BLAS reads its thread count at load time, so the count is set in a child.
-    env = {**os.environ, "PYTHONPATH": str(Path(kernelim.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
-           "MKL_NUM_THREADS": str(threads)}
-    subprocess.run([sys.executable, "-m", "kernelim.cli", *argv], env=env, cwd=cwd,
-                   capture_output=True, check=True)
+    run_python_at_blas_threads(threads, ["-m", "kernelim.cli", *argv], cwd)
 
 
 def test_compare_golden_hash(tmp_path):

@@ -19,7 +19,8 @@ from kernelim import (
     spline_kernel,
 )
 from kernelim.errors import IndefiniteKernelError, ZeroPivotError
-from kernelim.pgreedy import TIE_BAND_FACTOR, SelectionState, new_state
+from kernelim.graphs import TIE_BAND_FACTOR
+from kernelim.pgreedy import SelectionState, new_state
 
 from helpers import random_connected_graph
 
