@@ -301,21 +301,44 @@ def generate_points_graph(
     if not finite.all():
         raise GraphFormatError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
 
-    keep = np.zeros(pts.shape[0], dtype=bool)
-    for i, p in enumerate(pts):
-        keep[i] = np.all(_distances(p[None], pts[keep]) >= thin_radius)
+    keep = [True] * len(pts)
+    p, q = _close_pairs(pts, thin_radius, strict=True)
+    by_later = np.argsort(q, kind="stable")
+    for a, b in zip(p[by_later].tolist(), q[by_later].tolist()):
+        if keep[a]:  # a < b: the pairs come by b, so whether a survives is settled
+            keep[b] = False
     surv = pts[keep]
 
-    rows, cols = np.nonzero(np.triu(_distances(surv, surv) <= link_radius, 1))
+    rows, cols = _close_pairs(surv, link_radius, strict=False)
     return Graph(n=surv.shape[0], edges=np.column_stack((rows, cols, np.ones_like(rows))), positions=surv)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows; thinning and linking both use this formula.
+def _close_pairs(pts: np.ndarray, radius: float, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (p, q), p < q, whose distance sqrt(((pts[p] - pts[q]) ** 2).sum(1)) is
+    < radius (strict) or <= radius: thinning and linking both use this one formula.  A
+    distance too large for a float is +inf, which compares as far apart.
 
-    A distance too large for a float is +inf, which compares as far apart."""
+    The points are sorted along the coordinate x of larger spread (points on a line along
+    the other axis would all share one window), and each is paired with the later ones
+    whose x lies within its window.  A computed distance is never below the computed |dx|:
+    sqrt(fl(dx²)) is |dx| exactly in binary floating point, and adding fl(dy²) >= 0 cannot
+    lower it.  Only where dx² underflows, |dx| < 2**-511, can the distance fall below |dx|.
+    So the window up to x + radius, padded by 1e-9 relative for the rounding of dx and of
+    x + radius and by 2**-511 for underflow, holds every close pair; a bound that overflows
+    to inf still does."""
     with np.errstate(over="ignore"):
-        return np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        order = np.argsort(pts[:, axis], kind="stable")
+        x = pts[order, axis]
+        end = np.searchsorted(x, x + radius + 1e-9 * (np.abs(x) + radius) + 2.0**-511, side="right")
+        counts = end - np.arange(1, len(x) + 1)  # the later points in each one's window
+        first = np.repeat(np.arange(len(x)), counts)
+        second = np.arange(len(first)) - np.repeat(np.cumsum(counts) - end, counts)
+        p, q = order[first], order[second]
+        p, q = np.minimum(p, q), np.maximum(p, q)
+        dist = np.sqrt(((pts[p] - pts[q]) ** 2).sum(1))
+    close = dist < radius if strict else dist <= radius
+    return p[close], q[close]
 
 
 def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.STANDARD) -> np.ndarray:

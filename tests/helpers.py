@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own code paths (union-find for
 components, truncated Taylor for the matrix exponential, dense linear solves
 for PageRank, posterior variance and cross-validation, scipy.sparse.csgraph
 search for Independent Cascade reach, per-edge Python loops for the edge
-validation, the adjacency and the degrees).
+validation, the adjacency and the degrees, an n x n distance matrix for the
+point-cloud generator).
 """
 
 import math
@@ -78,6 +79,28 @@ def canonical_edges_loop(n, edges):
         seen.add(key)
         canon.append((key[0], key[1], w))
     return tuple(sorted(canon))
+
+
+def points_graph_oracle(points, thin_radius, link_radius) -> Graph:
+    """The dense generator `generate_points_graph` once ran on finite (m, 2) points:
+    greedy thinning one point at a time against every kept point, then linking
+    from the n x n distance matrix."""
+    pts = np.asarray(points, dtype=float)
+    keep = np.zeros(pts.shape[0], dtype=bool)
+    for i, p in enumerate(pts):
+        keep[i] = np.all(_distances(p[None], pts[keep]) >= thin_radius)
+    surv = pts[keep]
+
+    rows, cols = np.nonzero(np.triu(_distances(surv, surv) <= link_radius, 1))
+    return Graph(n=surv.shape[0], edges=np.column_stack((rows, cols, np.ones_like(rows))), positions=surv)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows; thinning and linking both use this formula.
+
+    A distance too large for a float is +inf, which compares as far apart."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
 
 
 def adjacency_loop(g: Graph) -> np.ndarray:

@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernelim
-from kernelim import compare, load_graph
+from kernelim import compare, generate_points_graph, load_graph
 from kernelim.cli import DEFAULT_GRIDS, main
 from kernelim.errors import NumericalError
+from kernelim.graphs import graph_to_json
 from kernelim.kernels import FAMILY_PARAMETERS
 
-from helpers import run_python_at_blas_threads
+from helpers import points_graph_oracle, run_python_at_blas_threads
 
 
 @pytest.fixture
@@ -623,6 +624,21 @@ def test_gen_points_file_fails_only_with_a_message(tmp_path_factory, lines):
     _assert_clean_exit(["gen", "--kind", "points", "--points-file", str(points),
                         "--thin-radius", "0.01", "--link-radius", "0.5",
                         "-o", str(points.with_name("points.json"))])
+
+
+def test_gen_points_at_the_float_limit_matches_the_oracle(tmp_path):
+    big = 1.7976931348623157e308
+    pts = np.array([[big, 0.0], [big, 0.004], [-big, 0.0], [1e308, 1e308], [1e308, 1e308 - 1e292],
+                    [-big, -big], [0.0, big], [0.0, 0.3], [0.0, 0.0], [1e308, 0.0]])
+    want = graph_to_json(points_graph_oracle(pts, 0.01, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert graph_to_json(generate_points_graph(points=pts, thin_radius=0.01, link_radius=0.5)) == want
+    path = tmp_path / "points.txt"
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in pts.tolist()))
+    _assert_clean_exit(["gen", "--kind", "points", "--points-file", str(path), "--thin-radius", "0.01",
+                        "--link-radius", "0.5", "-o", str(tmp_path / "g.json")])
+    assert (tmp_path / "g.json").read_text() == want
 
 
 def _path5(directory):

@@ -32,6 +32,7 @@ from helpers import (
     canonical_edges_loop,
     component_count,
     degrees_loop,
+    points_graph_oracle,
     random_graph,
     top_n_loop,
 )
@@ -275,6 +276,81 @@ def test_sensor79_golden_fixture():
 def test_generator_golden_hash(kwargs, nodes, edges, digest):
     g = generate_points_graph(**kwargs)
     assert (g.n, g.edge_count, graph_hash(g)) == (nodes, edges, digest)
+
+
+_LATTICE = 0.05 * np.stack(np.meshgrid(np.arange(20), np.arange(20)), axis=-1).reshape(-1, 2)
+_LAYOUTS = {  # points in about the unit square; the lattice's spacing is the radius 0.05
+    "random": lambda rng: rng.random((150, 2)),
+    "duplicates": lambda rng: rng.random((50, 2))[rng.integers(0, 50, 150)],
+    "rounded": lambda rng: np.round(rng.random((150, 2)), 1),
+    "lattice": lambda rng: _LATTICE,
+    "vertical": lambda rng: np.column_stack([np.full(150, 0.5), rng.random(150)]),
+    "horizontal": lambda rng: np.column_stack([rng.random(150), np.full(150, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_generator_matches_the_dense_oracle(layout, scale):
+    rng = np.random.default_rng(len(layout))
+    r = 0.05 * scale
+    for offset in (0.0, rng.uniform(-10, 10) * scale):
+        pts = _LAYOUTS[layout](rng) * scale + offset
+        for thin in (0.0, r, np.inf):
+            for link in (r, 2 * r, np.inf):
+                g = generate_points_graph(points=pts, thin_radius=thin, link_radius=link)
+                want = points_graph_oracle(pts, thin, link)
+                assert g.n == want.n
+                assert np.array_equal(g.positions, want.positions)
+                assert all(np.array_equal(a, b) for a, b in zip((g.u, g.v, g.w), (want.u, want.v, want.w)))
+                assert graph_hash(g) == graph_hash(want)
+
+
+def _boundary_pairs(x, r, strict):
+    """Pairs (x, y), y the largest of the nine floats around the computed x + r whose computed
+    y - x is < r (strict) or <= r.  An x with none of the nine within r is left out."""
+    ys = [x + r]
+    for _ in range(4):
+        ys = [np.nextafter(ys[0], -np.inf), *ys, np.nextafter(ys[-1], np.inf)]
+    ys = np.stack(ys)
+    within = ys - x < r if strict else ys - x <= r  # falls with y: a run of True, then False
+    some = within[0]
+    return x[some], ys[within.sum(axis=0) - 1, np.arange(len(x))][some]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_generator_matches_the_oracle_at_the_radius_boundary(scale):
+    rng = np.random.default_rng(3)
+    r = 0.05 * scale
+    for thin, link in ((0.0, r), (r, r)):
+        x, y = _boundary_pairs((rng.random(200) - 0.5) * scale, r, strict=thin > 0)
+        pts = np.column_stack([np.concatenate([x, y]), np.zeros(2 * len(x))])
+        if not thin:  # some pairs lie past the computed x + r, outside a window without a pad
+            assert np.any(y > x + r)
+        g = generate_points_graph(points=pts, thin_radius=thin, link_radius=link)
+        assert graph_hash(g) == graph_hash(points_graph_oracle(pts, thin, link))
+
+
+def test_generator_links_a_pair_whose_dx_squared_underflows():
+    # dx = 1e-200 squares to 0, so the computed distance 0 is within 1e-300 while dx is not.
+    pts = np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200]])
+    g = generate_points_graph(points=pts, link_radius=1e-300)
+    assert g.edges == points_graph_oracle(pts, 0.0, 1e-300).edges == ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0))
+
+
+def test_generator_peak_stays_below_one_n_by_n_matrix():
+    line = np.column_stack([np.full(1500, 0.5), uniform_points(1500, 7)[:, 1]])
+    peaks = []
+    for kwargs in (dict(count=1500, seed=7), dict(points=line)):
+        tracemalloc.start()
+        try:
+            generate_points_graph(**kwargs, link_radius=0.06)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1500**2 * 8  # one n x n float64; the n x n distance matrix took 54 MB
+    # On a vertical line a sweep along x measures every pair (72 MB); the distance matrix took 54 MB.
+    assert peaks[1] <= 51.5e6
 
 
 _JSON_VALUES = st.recursive(
