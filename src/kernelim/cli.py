@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -106,6 +107,18 @@ def _read_kernel(args):
 def _kernel(args, family, params, spectrum):
     kern = build_kernel(family, params, spectrum)
     return kern if args.clamp_spectrum is None else clamp_spectrum(kern, args.clamp_spectrum)
+
+
+# The output flags by argparse dest; each names a file that a command writes after its work.
+OUTPUT_FLAGS = {"out": "-o", "meta": "--meta", "table": "--table", "svg": "--svg", "vectors": "--vectors"}
+
+
+def _check_output_dirs(args) -> None:
+    # refuse an output in a missing directory before the graph is read or built
+    for dest, flag in OUTPUT_FLAGS.items():
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
 
 
 def _write_text(path, text: str) -> None:
@@ -332,6 +345,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_fuse_grid_flags(argv))
+        _check_output_dirs(args)
         return args.func(args)
     except SystemExit:  # --help and --version
         return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -95,27 +96,45 @@ class Graph:
 def _edge_arrays(n: int, edges) -> tuple[np.ndarray, ...]:
     """(u, v, w) arrays of the triples `edges`, u < v, sorted by (u, v).  The
     first bad record in input order is refused by the first check it fails:
-    range, self-loop, weight, duplicate.  Ids are compared as Python ints."""
-    rec = np.array(edges, dtype=object).reshape(len(edges), 3)
-    ids = np.frompyfunc(int, 1, 1)(rec[:, :2])
+    whole-number id, range, self-loop, weight, duplicate.  The ids of an integer
+    or float array are checked as arrays, any others as Python ints, so an id
+    too large for int64 is named exactly."""
+    if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "if"):
+        edges = np.array(edges, dtype=object)
+    rec = edges.reshape(len(edges), 3)
     w = rec[:, 2].astype(float)
+    if rec.dtype == object:
+        ids = np.frompyfunc(_whole_int, 1, 1)(rec[:, :2])
+        whole = np.not_equal(ids, None)
+    else:
+        ids = rec[:, :2]
+        whole = np.isfinite(ids) & (ids == np.trunc(ids))
+    ids = np.where(whole, ids, 0)
     inside = ((ids >= 0) & (ids < n)).all(axis=1)
     lo, hi = np.sort(np.where(inside[:, None], ids, 0).astype(np.int64), axis=1).T
     key = lo * n + hi
     order = np.argsort(key, kind="stable")
     repeat = np.zeros(len(key), dtype=bool)  # an earlier record joins the same pair
     repeat[order[1:]] = np.diff(key[order]) == 0
-    bad = np.stack([~inside, lo == hi, ~((w > 0) & np.isfinite(w)), repeat])
+    bad = np.stack([~whole.all(axis=1), ~inside, lo == hi, ~((w > 0) & np.isfinite(w)), repeat])
     if bad.any():
         i = int(bad.any(axis=0).argmax())
-        a, b = ids[i]
+        a, b = (int(x) for x in ids[i])
         raise GraphFormatError([
+            f"edge record {i}: node id {rec[i, int(whole[i, 0])]} is not an integer",
             f"edge ({a},{b}) references a node outside 0..{n - 1}",
             f"self-loop on node {a} is not allowed",
             f"edge ({a},{b}) has non-positive weight {float(w[i])}",
             f"duplicate edge ({lo[i]},{hi[i]})",
         ][bad[:, i].argmax()])
     return lo[order], hi[order], w[order]
+
+
+def _whole_int(x):
+    """int(x), or None for a float that is not a whole number (nan and inf included)."""
+    if isinstance(x, (float, np.floating)) and not float(x).is_integer():
+        return None
+    return int(x)
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -161,62 +180,101 @@ def _parse_json_graph(text: str) -> Graph:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise GraphFormatError("graph JSON must be an object with 'nodes' and 'edges'")
-    nodes = doc["nodes"]
-    _check_records(nodes, "node", ("id",))
-    _check_records(doc["edges"], "edge", ("u", "v"))
+    nodes, edges = doc["nodes"], doc["edges"]
+    (id_col,) = _record_columns(nodes, "node", ("id",))
+    u_col, v_col = _record_columns(edges, "edge", ("u", "v"))
     n = len(nodes)
-    ids = [_json_int(m["id"], f"node record {i}: id") for i, m in enumerate(nodes)]
-    if sorted(ids) != list(range(n)):
+    ids, bad = _int_column(id_col)
+    if bad < n:
+        raise GraphFormatError(f"node record {bad}: id {id_col[bad]!r} is not an integer")
+    if ids.dtype != np.int64 or not np.array_equal(np.sort(ids), np.arange(n)):
         raise GraphFormatError("node ids must be the contiguous integers 0..n-1")
-    with_pos = [m for m in nodes if m.get("pos") is not None]
     positions = None
-    if with_pos:
-        if len(with_pos) != n:
+    pos_col = [m.get("pos") for m in nodes]
+    if (unplaced := pos_col.count(None)) < n:
+        if unplaced:
             raise GraphFormatError("either every node or no node may carry a position")
-        positions = np.zeros((n, 2))
-        for v, m in zip(ids, nodes):
-            pos = m["pos"]
-            if not isinstance(pos, list) or len(pos) != 2:
-                raise GraphFormatError(f"node {v}: 'pos' must be a pair [x, y]")
-            positions[v] = [_json_number(c, f"node {v}: 'pos' entry") for c in pos]
+        pairs = n
+        if set(map(type, pos_col)) != {list} or set(map(len, pos_col)) != {2}:
+            pairs = next(i for i, pos in enumerate(pos_col) if not (isinstance(pos, list) and len(pos) == 2))
+        coords = [c for pos in pos_col[:pairs] for c in pos]
+        xy, bad = _float_column(coords)
+        if bad < len(coords):
+            raise GraphFormatError(f"node {ids[bad // 2]}: 'pos' entry {json.dumps(coords[bad])} is not a finite number")
+        if pairs < n:
+            raise GraphFormatError(f"node {ids[pairs]}: 'pos' must be a pair [x, y]")
+        positions = np.empty((n, 2))
+        positions[ids] = xy.reshape(n, 2)
     labels = None
     if any("label" in m for m in nodes):
-        labels = [m.get("label", m["id"]) for _, m in sorted(zip(ids, nodes))]  # ids are distinct
-    edges = [
-        (_json_int(e["u"], f"edge record {i}: u"), _json_int(e["v"], f"edge record {i}: v"),
-         _json_number(e.get("w", 1.0), f"edge record {i}: weight"))
-        for i, e in enumerate(doc["edges"])
-    ]
-    return Graph(n=n, edges=edges, positions=positions, labels=labels)
+        raw = [m.get("label", m["id"]) for m in nodes]
+        labels = [raw[k] for k in np.argsort(ids).tolist()]
+    u, bad_u = _int_column(u_col)
+    v, bad_v = _int_column(v_col)
+    w_col = [e.get("w", 1.0) for e in edges]
+    w, bad_w = _float_column(w_col)
+    if (i := min(bad_u, bad_v, bad_w)) < len(edges):
+        raise GraphFormatError(
+            f"edge record {i}: u {u_col[i]!r} is not an integer" if bad_u == i else
+            f"edge record {i}: v {v_col[i]!r} is not an integer" if bad_v == i else
+            f"edge record {i}: weight {json.dumps(w_col[i])} is not a finite number")
+    uv = np.stack([u, v])
+    if uv.dtype == np.int64 and np.all((uv >= -(2**53)) & (uv <= 2**53)):
+        rec = np.column_stack([u, v, w])  # every id is exact as a float
+    else:
+        rec = list(zip(u.tolist(), v.tolist(), w.tolist()))
+    return Graph(n=n, edges=rec, positions=positions, labels=labels)
 
 
-def _json_number(value, what: str) -> float:
-    """A finite JSON number, or a string holding one, as a float."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(out := read_float(value)):
-                return out
-        except (ValueError, OverflowError):
-            pass
-    raise GraphFormatError(f"{what} {json.dumps(value)} is not a finite number")
-
-
-def _json_int(value, what: str) -> int:
-    """An integer or a string holding one (`_check_records` admits only these)."""
-    try:
-        return read_int(value)
-    except ValueError:
-        raise GraphFormatError(f"{what} {value!r} is not an integer") from None
-
-
-def _check_records(records, kind: str, keys: tuple[str, ...]) -> None:
+def _record_columns(records, kind: str, keys: tuple[str, ...]) -> list[list]:
+    """The column [rec.get(k) for rec in records] of each of `keys`, whose every entry
+    must be an integer or a string."""
     if not isinstance(records, list):
         raise GraphFormatError(f"graph JSON '{kind}s' must be an array")
-    for i, rec in enumerate(records):
+    if set(map(type, records)) <= {dict}:
+        columns = [[rec.get(k) for rec in records] for k in keys]
         # type(), not isinstance(): JSON true and false load as bool, an int subclass
-        if not isinstance(rec, dict) or any(type(rec.get(k)) not in (int, str) for k in keys):
-            fields = " and ".join(repr(k) for k in keys)
-            raise GraphFormatError(f"{kind} record {i} must be an object with integer {fields}")
+        if all(set(map(type, col)) <= {int, str} for col in columns):
+            return columns
+    i = next(i for i, rec in enumerate(records)
+             if not isinstance(rec, dict) or any(type(rec.get(k)) not in (int, str) for k in keys))
+    fields = " and ".join(repr(k) for k in keys)
+    raise GraphFormatError(f"{kind} record {i} must be an object with integer {fields}")
+
+
+def _int_column(values: list) -> tuple[np.ndarray | None, int]:
+    """JSON integers and strings holding one (what `_record_columns` admits) as one
+    array, int64 unless a value does not fit, and the index of the first string that
+    holds no integer (len(values) when none, else the array is None)."""
+    if not set(map(type, values)) <= {int}:
+        values = [_parsed(read_int, x) for x in values]
+        if None in values:
+            return None, values.index(None)
+    try:
+        return np.array(values, dtype=np.int64), len(values)
+    except OverflowError:
+        return np.array(values, dtype=object), len(values)
+
+
+def _float_column(values: list) -> tuple[np.ndarray, int]:
+    """Finite JSON numbers and strings holding one as float64, and the index of the
+    first value that is neither (len(values) when none)."""
+    out = None
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            out = np.array(values, dtype=float)
+    if out is None:  # a refused value reads as None, so as nan
+        out = np.array([_parsed(read_float, x) if type(x) in (int, float, str) else None for x in values], dtype=float)
+    finite = np.isfinite(out)
+    return out, len(values) if finite.all() else int(finite.argmin())
+
+
+def _parsed(read, value):
+    """read(value), or None where it refuses the value."""
+    try:
+        return read(value)
+    except (ValueError, OverflowError):
+        return None
 
 
 def load_graph(path, fmt: str | None = None) -> Graph:
@@ -239,17 +297,24 @@ def load_graph(path, fmt: str | None = None) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    """Canonical JSON serialization (stable byte-for-byte for equal graphs)."""
-    nodes = []
-    for i in range(g.n):
-        m = {"id": i}
-        if g.positions is not None:
-            m["pos"] = [float(g.positions[i, 0]), float(g.positions[i, 1])]
-        if g.labels is not None:
-            m["label"] = g.labels[i]
-        nodes.append(m)
-    edges = [{"u": u, "v": v, "w": w} for u, v, w in g.edges]
-    return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON serialization (stable byte-for-byte for equal graphs): the text
+    `json.dumps(..., sort_keys=True, separators=(",", ":"))` gives for one object per
+    node and edge, written from the arrays.  Floats take `float.__repr__`, as in
+    `json`; labels go through `json.dumps` (ASCII, escaped)."""
+    fields = [map('"id":{}'.format, range(g.n))]
+    if g.labels is not None:
+        fields.append(map('"label":{}'.format, map(json.dumps, g.labels)))
+    if g.positions is not None:
+        x, y = (_json_floats(col) for col in g.positions.T)
+        fields.append(map('"pos":[{},{}]'.format, x, y))
+    nodes = ",".join(map("{{{}}}".format, map(",".join, zip(*fields))))
+    edges = ",".join(map('{{"u":{},"v":{},"w":{!r}}}'.format, g.u.tolist(), g.v.tolist(), g.w.tolist()))
+    return f'{{"edges":[{edges}],"nodes":[{nodes}]}}\n'
+
+
+def _json_floats(values: np.ndarray):
+    """The text `json` writes for each float: its repr, or NaN, Infinity and -Infinity."""
+    return map(float.__repr__ if np.isfinite(values).all() else json.dumps, values.tolist())
 
 
 def save_graph(g: Graph, path) -> None:

@@ -29,14 +29,20 @@ class Spectrum:
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # First entry above the zero threshold is made positive so repeated runs
-    # produce identical bases.  A C-ordered u is flipped in place and returned;
-    # any other is copied to C order first.  Negation is exact.
-    big = (u > SIGN_ZERO_THRESHOLD) | (u < -SIGN_ZERO_THRESHOLD)
-    cols = np.arange(u.shape[1])
-    first = big.argmax(axis=0)  # 0 for a column with no entry above the threshold
-    flip = big[first, cols] & (u[first, cols] < 0)
+    # produce identical bases.  Row 0 settles almost every column; only those
+    # whose row-0 entry is within the threshold are scanned further down.  A
+    # C-ordered u is flipped in place and returned; any other is copied to C
+    # order first.  Multiplying by -1.0 is exact negation (-0.0 included).
+    lead = u[0].copy()
+    flat = ~((lead > SIGN_ZERO_THRESHOLD) | (lead < -SIGN_ZERO_THRESHOLD))
+    if flat.any():
+        rest = u[:, flat]
+        big = (rest > SIGN_ZERO_THRESHOLD) | (rest < -SIGN_ZERO_THRESHOLD)
+        first = big.argmax(axis=0)  # 0 for a column with no entry above the threshold
+        cols = np.arange(rest.shape[1])
+        lead[flat] = np.where(big[first, cols], rest[first, cols], 0.0)
     u = np.ascontiguousarray(u)
-    np.negative(u, out=u, where=flip)
+    u *= np.where(lead < 0, -1.0, 1.0)
     return u
 
 

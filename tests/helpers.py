@@ -5,9 +5,10 @@ components, truncated Taylor for the matrix exponential, dense linear solves
 for PageRank, posterior variance and cross-validation, scipy.sparse.csgraph
 search for Independent Cascade reach, per-edge Python loops for the edge
 validation, the adjacency and the degrees, an n x n distance matrix for the
-point-cloud generator).
+point-cloud generator, per-record readers and `json.dumps` for graph JSON).
 """
 
+import json
 import math
 import os
 import subprocess
@@ -22,7 +23,7 @@ import kernelim
 from kernelim import Graph, laplacian
 from kernelim.baselines import iteration_cap
 from kernelim.errors import ConvergenceError, GraphFormatError
-from kernelim.graphs import TIE_BAND_FACTOR
+from kernelim.graphs import TIE_BAND_FACTOR, read_float, read_int
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.15, weight_lo=0.5, weight_hi=1.5,
@@ -62,10 +63,14 @@ def random_graph(rng, n, edge_prob=0.1, weight_lo=0.5, weight_hi=1.5):
 
 def canonical_edges_loop(n, edges):
     """The per-edge loop `Graph` once validated its edges with: the canonical
-    sorted (u, v, w) triples, or GraphFormatError naming the first bad record."""
+    sorted (u, v, w) triples, or GraphFormatError naming the first bad record.
+    A float id must be a whole number."""
     canon = []
     seen = set()
-    for u, v, w in edges:
+    for i, (u, v, w) in enumerate(edges):
+        for x in (u, v):
+            if isinstance(x, (float, np.floating)) and not float(x).is_integer():
+                raise GraphFormatError(f"edge record {i}: node id {x} is not an integer")
         u, v, w = int(u), int(v), float(w)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u},{v}) references a node outside 0..{n - 1}")
@@ -79,6 +84,84 @@ def canonical_edges_loop(n, edges):
         seen.add(key)
         canon.append((key[0], key[1], w))
     return tuple(sorted(canon))
+
+
+def parse_json_graph_loop(text: str) -> Graph:
+    """The graph JSON reader `load_graph` once ran: every record checked, and every
+    field converted, by its own helper call."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
+        raise GraphFormatError("graph JSON must be an object with 'nodes' and 'edges'")
+    nodes = doc["nodes"]
+    _check_records_loop(nodes, "node", ("id",))
+    _check_records_loop(doc["edges"], "edge", ("u", "v"))
+    n = len(nodes)
+    ids = [_json_int_loop(m["id"], f"node record {i}: id") for i, m in enumerate(nodes)]
+    if sorted(ids) != list(range(n)):
+        raise GraphFormatError("node ids must be the contiguous integers 0..n-1")
+    with_pos = [m for m in nodes if m.get("pos") is not None]
+    positions = None
+    if with_pos:
+        if len(with_pos) != n:
+            raise GraphFormatError("either every node or no node may carry a position")
+        positions = np.zeros((n, 2))
+        for v, m in zip(ids, nodes):
+            pos = m["pos"]
+            if not isinstance(pos, list) or len(pos) != 2:
+                raise GraphFormatError(f"node {v}: 'pos' must be a pair [x, y]")
+            positions[v] = [_json_number_loop(c, f"node {v}: 'pos' entry") for c in pos]
+    labels = None
+    if any("label" in m for m in nodes):
+        labels = [m.get("label", m["id"]) for _, m in sorted(zip(ids, nodes))]  # ids are distinct
+    edges = [
+        (_json_int_loop(e["u"], f"edge record {i}: u"), _json_int_loop(e["v"], f"edge record {i}: v"),
+         _json_number_loop(e.get("w", 1.0), f"edge record {i}: weight"))
+        for i, e in enumerate(doc["edges"])
+    ]
+    return Graph(n=n, edges=edges, positions=positions, labels=labels)
+
+
+def _json_number_loop(value, what: str) -> float:
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(out := read_float(value)):
+                return out
+        except (ValueError, OverflowError):
+            pass
+    raise GraphFormatError(f"{what} {json.dumps(value)} is not a finite number")
+
+
+def _json_int_loop(value, what: str) -> int:
+    try:
+        return read_int(value)
+    except ValueError:
+        raise GraphFormatError(f"{what} {value!r} is not an integer") from None
+
+
+def _check_records_loop(records, kind: str, keys: tuple[str, ...]) -> None:
+    if not isinstance(records, list):
+        raise GraphFormatError(f"graph JSON '{kind}s' must be an array")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or any(type(rec.get(k)) not in (int, str) for k in keys):
+            fields = " and ".join(repr(k) for k in keys)
+            raise GraphFormatError(f"{kind} record {i} must be an object with integer {fields}")
+
+
+def graph_to_json_loop(g: Graph) -> str:
+    """The canonical text `graph_to_json` once built: one dict per record, then `json.dumps`."""
+    nodes = []
+    for i in range(g.n):
+        m = {"id": i}
+        if g.positions is not None:
+            m["pos"] = [float(g.positions[i, 0]), float(g.positions[i, 1])]
+        if g.labels is not None:
+            m["label"] = g.labels[i]
+        nodes.append(m)
+    edges = [{"u": u, "v": v, "w": w} for u, v, w in g.edges]
+    return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def points_graph_oracle(points, thin_radius, link_radius) -> Graph:

@@ -487,6 +487,31 @@ def test_compare_reports_each_failed_method_and_keeps_its_rows(tmp_path, capsys,
         assert 1 <= len(ks) < 10 and ks == list(range(1, len(ks) + 1))
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("-o", ["gen", "--nodes", "20"]),
+    ("-o", ["select", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "3"]),
+    ("--svg", ["select", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "3", "-o", "{d}/s.json"]),
+    ("--vectors", ["spectrum", "--graph", "{g}", "-o", "{d}/eig.csv"]),
+    ("--table", ["tune", "--graph", "{g}", "--kernel", "diffusion", "--t-grid", "-1:-1:1", "--folds", "3",
+                 "-o", "{d}/b.json"]),
+    ("--meta", ["compare", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "2", "--ic-runs", "5",
+                "-o", "{d}/report.csv"]),
+], ids=["gen", "select", "select-svg", "spectrum-vectors", "tune-table", "compare-meta"])
+def test_output_in_a_missing_directory_is_refused_before_the_graph_is_read(
+        tmp_path, capsys, monkeypatch, sensor_graph, flag, argv):
+    calls = []
+    monkeypatch.setattr(kernelim.cli, "load_graph", lambda *a: calls.append("load_graph"))
+    monkeypatch.setattr(kernelim.cli, "generate_points_graph", lambda **k: calls.append("generate_points_graph"))
+    before = sorted(tmp_path.rglob("*"))
+    missing = tmp_path / "missing" / "out.file"
+    argv = [a.format(g=sensor_graph, d=tmp_path) for a in argv] + [flag, str(missing)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"kernelim: error: {flag} {missing}: directory {missing.parent} does not exist\n")
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
 def test_select_svg_without_positions_writes_nothing(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(kernelim.cli, "eigendecompose", lambda *a: calls.append("eigendecompose"))

@@ -25,13 +25,15 @@ from kernelim import (
     uniform_points,
 )
 from kernelim.errors import GraphFormatError
-from kernelim.graphs import TIE_BAND_FACTOR, read_float, read_int, top_n
+from kernelim.graphs import TIE_BAND_FACTOR, _parse_json_graph, graph_to_json, read_float, read_int, top_n
 
 from helpers import (
     adjacency_loop,
     canonical_edges_loop,
     component_count,
     degrees_loop,
+    graph_to_json_loop,
+    parse_json_graph_loop,
     points_graph_oracle,
     random_graph,
     top_n_loop,
@@ -126,13 +128,14 @@ def test_non_positive_weight_rejected():
 
 @st.composite
 def _edge_records(draw):
-    # Small graphs whose records mix valid ids with out-of-range, huge and float ones,
-    # and valid weights with bad ones; some records repeat a pair in either orientation.
+    # Small graphs whose records mix valid ids with out-of-range, huge, float and
+    # non-integral ones, and valid weights with bad ones; some records repeat a pair
+    # in either orientation.
     n = draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
     weight = st.sampled_from([1.0, 2.5])
     good = node.flatmap(lambda u: st.tuples(st.just(u), node.filter(lambda v: v != u), weight))
-    any_node = node | st.sampled_from([-1, n, 10**30, -(10**30), 2.0])
+    any_node = node | st.sampled_from([-1, n, 10**30, -(10**30), 2.0, 1.5, math.nan, math.inf])
     any_weight = weight | st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
     record = st.integers(0, 5).flatmap(
         lambda k: st.tuples(any_node, any_node, any_weight) if k == 5 or n == 1 else good)
@@ -146,15 +149,31 @@ def _edge_records(draw):
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(case=_edge_records())
 def test_graph_validation_matches_the_reference_loop(case):
+    # The records as Python tuples (checked as Python ints) and as one float array
     n, edges = case
-    try:
-        expected = canonical_edges_loop(n, edges)
-    except GraphFormatError as exc:
-        with pytest.raises(GraphFormatError) as refused:
-            Graph(n=n, edges=edges)
-        assert str(refused.value) == str(exc)
-    else:
-        assert Graph(n=n, edges=edges).edges == expected
+    for records in (edges, np.array(edges, dtype=float).reshape(-1, 3)):
+        try:
+            expected = canonical_edges_loop(n, records)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as refused:
+                Graph(n=n, edges=records)
+            assert str(refused.value) == str(exc)
+        else:
+            assert Graph(n=n, edges=records).edges == expected
+
+
+@pytest.mark.parametrize("edges, record, shown", [
+    ([(0, 1.5, 1.0)], 0, "1.5"), (np.array([[0, 1.9, 1.0]]), 0, "1.9"), ([(0, math.nan, 1.0)], 0, "nan"),
+    ([(0, 1, 1.0), (-math.inf, 2, 1.0)], 1, "-inf"),
+    (np.array([[0, 1, 1.0], [2, 0.5, 1.0], [9, 9, 1.0]]), 1, "0.5"),
+], ids=["tuple-1.5", "array-1.9", "nan", "second-record-inf", "before-a-later-range-error"])
+def test_graph_refuses_a_non_integral_id(edges, record, shown):
+    with pytest.raises(GraphFormatError, match=f"^edge record {record}: node id {shown} is not an integer$"):
+        Graph(n=3, edges=edges)
+
+
+def test_graph_takes_whole_float_ids():
+    assert Graph(n=3, edges=np.array([[0, 2.0, 1.0], [-0.0, 1, 1.0]])).edges == ((0, 1, 1.0), (0, 2, 1.0))
 
 
 def test_adjacency_and_degrees_keep_the_bits_of_the_edge_loop():
@@ -396,6 +415,116 @@ def test_load_graph_json_fails_only_with_input_errors(tmp_path_factory, doc):
     except (GraphFormatError, ValueError):
         return  # the two error types the CLI maps to exit 1
     assert isinstance(g, Graph)
+
+
+def _read_outcome(read, text):
+    """The arrays, positions and labels `read` makes of `text`, or its exception."""
+    try:
+        g = read(text)
+    except Exception as exc:  # noqa: BLE001  (the type and message are compared)
+        return type(exc), str(exc)
+    positions = None if g.positions is None else g.positions.tobytes()
+    return g.n, g.u.tobytes(), g.v.tobytes(), g.w.tobytes(), positions, g.labels
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_GRAPH_DOC)
+def test_json_reader_matches_the_per_record_reader(doc):
+    text = json.dumps(doc)
+    assert _read_outcome(_parse_json_graph, text) == _read_outcome(parse_json_graph_loop, text)
+
+
+_BAD_ID = st.sampled_from(["x", "1_0", "", " 2 ", "1.0", True, None, 1.5, -1, 2**53 + 1, 10**30, "9" * 30, [0], {}])
+_BAD_NUMBER = st.sampled_from([None, True, "nan", "inf", "1_0", "abc", " 0.5 ", "1e400", 10**400, -(10**30),
+                               0, -1.0, math.nan, math.inf, -math.inf, [1], {}, 1e308])
+_BAD_POS = st.sampled_from([None, "ab", [0.1], [0.1, 0.2, 0.3], {}, 3, [None, 1.0], [1.0, "nan"]])
+
+
+@st.composite
+def _docs_with_bad_fields(draw):
+    # A valid document of up to 60 nodes and 120 edges (ids listed in any order, some
+    # as strings), in which one or two fields at random records are then replaced.
+    n = draw(st.integers(2, 60))
+    ids = draw(st.permutations(range(n)))
+    with_pos, labelled = draw(st.booleans()), draw(st.booleans())
+    nodes = [{"id": str(i) if draw(st.integers(0, 9)) == 0 else i} for i in ids]
+    for m in nodes:
+        if with_pos:
+            m["pos"] = [draw(st.floats(-2, 2)), draw(st.sampled_from([0.5, -0.0, 5e-324, "0.25", 3]))]
+        if labelled and draw(st.booleans()):
+            m["label"] = draw(st.sampled_from(["a", "\u00e9", 7, None, [1, "b"], {"k": 2}]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                          max_size=120, unique_by=lambda p: frozenset(p)))
+    edges = []
+    for a, b in pairs:
+        e = {"u": a, "v": b}
+        if draw(st.integers(0, 2)):
+            e["w"] = draw(st.sampled_from([1.0, 0.1, 2, "2.5", 1e-300]))
+        edges.append(e)
+    for _ in range(draw(st.integers(1, 2))):
+        fields = ["id", "pos", "entry"] + ["u", "v", "w", "w", "loop", "repeat"] * bool(edges)
+        field = draw(st.sampled_from(fields))
+        if field == "repeat":  # the pair of an edge, listed again in either orientation later on
+            k = draw(st.integers(0, len(edges) - 1))
+            pair = edges[k]["u"], edges[k]["v"]
+            edges.insert(draw(st.integers(k + 1, len(edges))), dict(zip("uv", pair[::draw(st.sampled_from([1, -1]))])))
+        elif field in ("id", "pos", "entry"):
+            m = nodes[draw(st.integers(0, n - 1))]
+            if field == "id":
+                m["id"] = draw(_BAD_ID | st.integers(0, n))
+            elif field == "pos":
+                m["pos"] = draw(_BAD_POS)
+            elif isinstance(m.get("pos"), list) and m["pos"]:
+                m["pos"][draw(st.integers(0, len(m["pos"]) - 1))] = draw(_BAD_NUMBER)
+        else:
+            e = edges[draw(st.integers(0, len(edges) - 1))]
+            if field == "w":
+                e["w"] = draw(_BAD_NUMBER)
+            elif field == "loop":
+                e["v"] = e["u"]
+            else:
+                e[field] = draw(_BAD_ID | st.integers(-1, n))
+    return {"nodes": nodes, "edges": edges}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(doc=_docs_with_bad_fields())
+def test_json_reader_names_the_bad_field_the_per_record_reader_names(doc):
+    text = json.dumps(doc)
+    assert _read_outcome(_parse_json_graph, text) == _read_outcome(parse_json_graph_loop, text)
+
+
+_LABEL_TEXT = st.text(st.sampled_from(["a", "\u00e9", '"', "\\", "\n", "\x00", "\x1f", "\u2028", "\U0001f600",
+                                       "\ud800", "/"]), max_size=5)
+_POSITION = st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 1 / 3, 0.1, math.nan, math.inf]) | st.floats()
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+                          max_size=12, unique_by=lambda p: frozenset(p)))
+    weights = st.sampled_from([1.0, 1e-300, 0.1, 1 / 3, 1e308]) | st.floats(1e-300, 1e300)
+    edges = [(a, b, draw(weights)) for a, b in pairs]
+    positions = draw(st.none() | st.lists(st.tuples(_POSITION, _POSITION), min_size=n, max_size=n))
+    labels = draw(st.none() | st.lists(_LABEL_TEXT, min_size=n, max_size=n))
+    return Graph(n=n, edges=edges, positions=positions, labels=labels)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g=_graphs())
+def test_json_writer_gives_the_bytes_of_json_dumps(g):
+    assert graph_to_json(g) == graph_to_json_loop(g)
+
+
+def test_json_load_then_save_reproduces_the_benchmark_graph(tmp_path):
+    # The n=1500 graph.json of perfbench's select_n1500 workload (seed 7)
+    path, again = tmp_path / "graph.json", tmp_path / "again.json"
+    g = generate_points_graph(count=1500, seed=7, link_radius=0.06)
+    save_graph(g, path)
+    save_graph(load_graph(path), again)
+    assert again.read_bytes() == path.read_bytes() == graph_to_json_loop(g).encode("ascii")
+    assert graph_hash(g) == "cfefb40a1d65300ff55e56e9ccab75da949e7a7df1ce34cfbc03add3ca53340f"
 
 
 def test_laplacian_two_node_both_kinds(two_node):

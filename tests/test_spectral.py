@@ -119,10 +119,24 @@ def test_only_the_upper_triangle_is_read():
 
 def test_fix_signs_matches_the_column_loop():
     rng = np.random.default_rng(5)
-    for trial in range(50):
+    cases = []
+    for _ in range(50):
         u = rng.standard_normal((int(rng.integers(1, 20)), int(rng.integers(1, 20))))
         u *= rng.choice([1.0, 1e-13], size=u.shape)  # entries on both sides of the threshold
         u[:, int(rng.integers(u.shape[1]))] = 0.0
+        cases.append(u)
+    # A few hundred rows and columns, most of whose row-0 entries are at or below the
+    # threshold (exactly +-1e-12 among them), so that their signs are settled further
+    # down; some columns are all zero, some hold nothing above the threshold.
+    for rows, cols in ((300, 250), (257, 400)):
+        u = rng.standard_normal((rows, cols))
+        above = np.arange(rows)[:, None] < rng.integers(0, rows // 2, size=cols)  # above the first large entry
+        u[above] = rng.choice([0.0, -0.0, 1e-12, -1e-12, 3e-13], size=int(above.sum()))
+        u[:, rng.choice(cols, size=10, replace=False)] = 0.0
+        u[:, rng.choice(cols, size=10, replace=False)] = rng.choice([1e-12, -1e-12, 0.0], size=(rows, 10))
+        assert np.mean(np.abs(u[0]) <= 1e-12) > 0.5
+        cases += [u, u.copy()]  # once C-ordered, once F-ordered
+    for trial, u in enumerate(cases):
         if trial % 2:
             u = np.asfortranarray(u)
         want = fix_signs_loop(u)  # before the call, which flips a C-ordered u in place
