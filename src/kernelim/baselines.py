@@ -6,13 +6,13 @@ connected components over the live edges.  A cascade tries each edge at most
 once, from whichever end it reaches first, so this is the same law as
 activating neighbors one attempt at a time, and it makes the coins
 independent of the seed set, so runs sharing a sample are exactly monotone
-under seed growth and safe to reuse across candidates.  One union-find pass
-over a sample labels every node with its component's root; a seed set's
-spread is the summed size of its members' distinct labels, so every
-candidate and every prefix is counted from the same labels.  Scoring draws
-run r from substream (master_seed, r); IC-greedy draws its one sample set
-from the disjoint substreams (master_seed, r, 1), so its picks are always
-scored out of sample.
+under seed growth and safe to reuse across candidates.  Label propagation
+over a sample's live edge arrays labels each node with its component's
+smallest id; a seed set's spread is the summed size of its members' distinct
+labels, so every candidate and every prefix is counted from the same labels.
+Scoring draws run r from substream (master_seed, r); IC-greedy draws its one
+sample set from the disjoint substreams (master_seed, r, 1), so its picks are
+always scored out of sample.
 """
 
 from __future__ import annotations
@@ -53,26 +53,26 @@ class SpreadEstimate:
     runs: int
 
 
-def _component_roots(n: int, edges) -> list[int]:
-    """Union-find root of each node: one root per connected component of `edges`."""
-    parent = list(range(n))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
-
-    for u, v in edges:
-        parent[root(u)] = root(v)
-    return [root(v) for v in range(n)]
+def _component_roots(n: int, edges) -> np.ndarray:
+    """Each node's label, the smallest id in its component of `edges` ((m, 2) ends): hook
+    larger labels onto smaller, jump to roots, repeat on the pairs not yet joined."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    label = np.arange(n)
+    while u.size:
+        lu, lv = label[u], label[v]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while ((jumped := label[label]) != label).any():
+            label = jumped
+        joins = label[u] != label[v]
+        u, v = u[joins], v[joins]
+    return label
 
 
 def _samples(g: Graph, cfg: ICConfig, *key) -> tuple[np.ndarray, np.ndarray]:
     """Labels and sizes (int32, runs x n) of each run's live-edge components:
-    label[r, v] is v's root (see `_component_roots`) and size[r, c] counts the
-    nodes labelled c.  Run r draws from substream (master_seed, r, *key): edge
-    j is live when draw j of `random(m)` is < p.
+    label[r, v] is the smallest id in v's component (see `_component_roots`) and
+    size[r, c] counts the nodes labelled c.  Run r draws from substream
+    (master_seed, r, *key): edge j is live when draw j of `random(m)` is < p.
 
     numpy's SeedSequence pads its entropy with zero words, so a key must end
     in a nonzero word: (master_seed, r, 0) is the same stream as (master_seed, r).
@@ -81,7 +81,7 @@ def _samples(g: Graph, cfg: ICConfig, *key) -> tuple[np.ndarray, np.ndarray]:
     size = np.empty_like(label)
     for run in range(cfg.runs):
         live = np.random.default_rng((cfg.master_seed, run, *key)).random(g.edge_count) < cfg.p
-        label[run] = _component_roots(g.n, list(zip(g.u[live].tolist(), g.v[live].tolist())))
+        label[run] = _component_roots(g.n, np.column_stack([g.u[live], g.v[live]]))
         size[run] = np.bincount(label[run], minlength=g.n)
     return label, size
 

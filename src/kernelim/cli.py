@@ -113,12 +113,20 @@ def _kernel(args, family, params, spectrum):
 OUTPUT_FLAGS = {"out": "-o", "meta": "--meta", "table": "--table", "svg": "--svg", "vectors": "--vectors"}
 
 
-def _check_output_dirs(args) -> None:
-    # refuse an output in a missing directory before the graph is read or built
+def _check_outputs(args) -> None:
+    # refuse, before the graph is read or built, an output that is a directory or sits
+    # in a missing one, and two outputs naming one file (the second would replace the first)
+    named = {}
     for dest, flag in OUTPUT_FLAGS.items():
         path = getattr(args, dest, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+        if (other := named.setdefault(os.path.realpath(path), flag)) != flag:
+            raise ValueError(f"{flag} {path}: names the same file as {other}")
 
 
 def _write_text(path, text: str) -> None:
@@ -345,7 +353,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_fuse_grid_flags(argv))
-        _check_output_dirs(args)
+        _check_outputs(args)
         return args.func(args)
     except SystemExit:  # --help and --version
         return 0
@@ -354,6 +362,9 @@ def main(argv=None) -> int:
         return 2
     except (KernelimError, ValueError, OSError) as exc:
         print(f"kernelim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"kernelim: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

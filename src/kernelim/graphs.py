@@ -45,12 +45,13 @@ class LaplacianKind(Enum):
 
 @dataclass(frozen=True, init=False, eq=False)
 class Graph:
-    """Simple undirected graph with strictly positive edge weights.
+    """Simple undirected graph with strictly positive edge weights and finite positions.
 
     Nodes are dense integers 0..n-1.  When a file used other identifiers,
     `labels` maps each dense id back to the original token.  The (u, v, w)
     triples of `edges` are stored as three read-only arrays sorted by (u, v):
-    `u` and `v` (int64, u < v) and `w` (float64).
+    `u` and `v` (int64, u < v) and `w` (float64).  `positions`, if given, is a
+    read-only (n, 2) float64 copy.
     """
 
     n: int
@@ -64,8 +65,14 @@ class Graph:
         if n < 1:
             raise GraphFormatError("graph needs at least one node")
         u, v, w = _edge_arrays(n, edges)
-        if positions is not None and (positions := np.asarray(positions, dtype=float)).shape != (n, 2):
-            raise GraphFormatError(f"positions must have shape ({n}, 2), got {positions.shape}")
+        if positions is not None:
+            positions = np.array(positions, dtype=float)  # a copy: the caller's array may change
+            if positions.shape != (n, 2):
+                raise GraphFormatError(f"positions must have shape ({n}, 2), got {positions.shape}")
+            if not (finite := np.isfinite(positions)).all():
+                node, c = divmod(int(finite.argmin()), 2)
+                raise GraphFormatError(f"node {node}: 'pos' entry {json.dumps(positions[node, c])} is not a finite number")
+            positions.flags.writeable = False
         if labels is not None and len(labels := tuple(str(t) for t in labels)) != n:
             raise GraphFormatError("label table length must equal the node count")
         for array in (u, v, w):
@@ -305,16 +312,10 @@ def graph_to_json(g: Graph) -> str:
     if g.labels is not None:
         fields.append(map('"label":{}'.format, map(json.dumps, g.labels)))
     if g.positions is not None:
-        x, y = (_json_floats(col) for col in g.positions.T)
-        fields.append(map('"pos":[{},{}]'.format, x, y))
+        fields.append(map('"pos":[{!r},{!r}]'.format, *g.positions.T.tolist()))
     nodes = ",".join(map("{{{}}}".format, map(",".join, zip(*fields))))
     edges = ",".join(map('{{"u":{},"v":{},"w":{!r}}}'.format, g.u.tolist(), g.v.tolist(), g.w.tolist()))
     return f'{{"edges":[{edges}],"nodes":[{nodes}]}}\n'
-
-
-def _json_floats(values: np.ndarray):
-    """The text `json` writes for each float: its repr, or NaN, Infinity and -Infinity."""
-    return map(float.__repr__ if np.isfinite(values).all() else json.dumps, values.tolist())
 
 
 def save_graph(g: Graph, path) -> None:

@@ -7,6 +7,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order
 
 from kernelim import (
@@ -199,6 +201,7 @@ def _random_edges(rng, n, q):
 def _undirected_cases():
     rng = np.random.default_rng(31)
     perm = rng.permutation(40).tolist()
+    shuffled = np.random.default_rng(32).permutation(2000).tolist()
     return {
         "random-sparse": (40, _random_edges(rng, 40, 0.03)),
         "random-mixed": (60, _random_edges(rng, 60, 0.02)),
@@ -218,6 +221,10 @@ def _undirected_cases():
         "single-scc": (40, [(perm[i], perm[(i + 1) % 40]) for i in range(40)]
                        + [(perm[1], perm[0])] + _random_edges(rng, 40, 0.05)),
         "deep-path": (1200, [(i, i + 1) for i in range(1199)]),
+        # a path whose ids follow a random permutation: labels must travel far
+        "permuted-path": (2000, [(shuffled[i], shuffled[i + 1]) for i in range(1999)]),
+        "complete": (60, list(combinations(range(60), 2))),
+        "no-edges": (3, []),
     }
 
 
@@ -231,21 +238,52 @@ def _members(labels):
 
 @pytest.mark.parametrize("case", list(_undirected_cases()))
 def test_reach_masks_match_sparse_oracle(case):
-    # Two nodes share a root exactly when they share a connected component of
-    # the live edges, and a root's size counts its component's nodes.
+    # Two nodes share a label exactly when they share a connected component of
+    # the live edges, the label is the component's smallest id, and a label's
+    # size counts its component's nodes.
     n, edges = _undirected_cases()[case]
     ends = np.array(edges, dtype=int).reshape(-1, 2)
     graph = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
     expected = [set(breadth_first_order(graph, v, directed=False, return_predecessors=False).tolist())
                 for v in range(n)]
-    assert _members(_component_roots(n, edges)) == expected
+    smallest = [min(component) for component in expected]
+    labels = _component_roots(n, edges)
+    assert _members(labels) == expected
+    assert labels.tolist() == smallest
     # At p = 1 every edge of every run is live.
     g = Graph(n=n, edges=tuple({(min(e), max(e), 1.0) for e in edges}))
     label, size = _samples(g, ICConfig(p=1.0, runs=2))
     for row, counts in zip(label.tolist(), size):
         assert _members(row) == expected
+        assert row == smallest
         assert counts[row].tolist() == [len(component) for component in expected]
         assert counts.sum() == n
+
+
+@st.composite
+def _sample_cases(draw):
+    n = draw(st.integers(1, 16))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+                          max_size=30, unique_by=lambda e: frozenset(e)))
+    g = Graph(n=n, edges=[(a, b, 1.0) for a, b in pairs])
+    return g, ICConfig(p=draw(st.sampled_from([0.0, 0.2, 1.0])), runs=3, master_seed=draw(st.integers(0, 99)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_sample_cases())
+def test_samples_label_each_component_by_its_smallest_id(case):
+    # Run r's live edges (draw j of substream (master_seed, r) below p), searched
+    # breadth-first: each node's label is its component's smallest id, and
+    # that label's size is the component's node count.
+    g, cfg = case
+    label, size = _samples(g, cfg)
+    for run in range(cfg.runs):
+        live = np.random.default_rng((cfg.master_seed, run)).random(g.edge_count) < cfg.p
+        sample = Graph(n=g.n, edges=np.column_stack([g.u[live], g.v[live], g.w[live]]))
+        components = [component_of(sample, v) for v in range(g.n)]
+        assert label[run].tolist() == [min(c) for c in components]
+        assert size[run][label[run]].tolist() == [len(c) for c in components]
+        assert size[run].sum() == g.n
 
 
 def _arc_law(n, edges, seed_sets, p):

@@ -512,6 +512,52 @@ def test_output_in_a_missing_directory_is_refused_before_the_graph_is_read(
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "2", "--ic-runs", "5",
+      "-o", "{d}/r.csv", "--meta", "{d}/r.csv"], "--meta {d}/r.csv: names the same file as -o"),
+    (["compare", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "2", "--ic-runs", "5",
+      "-o", "r.csv", "--meta", "{d}/sub/../r.csv"], "--meta {d}/sub/../r.csv: names the same file as -o"),
+    (["spectrum", "--graph", "{g}", "-o", "{d}/e.csv", "--vectors", "{d}/e.csv"],
+     "--vectors {d}/e.csv: names the same file as -o"),
+    (["gen", "--nodes", "20", "-o", "{d}/sub"], "-o {d}/sub: is a directory"),
+    (["select", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "3", "-o", "{d}/s.json",
+      "--svg", "{d}/sub"], "--svg {d}/sub: is a directory"),
+], ids=["compare-meta-is-out", "compare-meta-is-out-relative", "spectrum-vectors-is-out", "gen-out-is-a-directory",
+        "select-svg-is-a-directory"])
+def test_outputs_that_collide_or_name_a_directory_are_refused_before_the_graph_is_read(
+        tmp_path, capsys, monkeypatch, sensor_graph, argv, message):
+    # Without the check, the second write would replace the first output, or a
+    # directory would fail only after the work.
+    calls = []
+    monkeypatch.setattr(kernelim.cli, "load_graph", lambda *a: calls.append("load_graph"))
+    monkeypatch.setattr(kernelim.cli, "generate_points_graph", lambda **k: calls.append("generate_points_graph"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.format(g=sensor_graph, d=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err == f"kernelim: error: {message.format(d=tmp_path)}\n"
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["gen", "--nodes", "1000000000000000"], "(1000000000000000, 2)"),
+    (["compare", "--graph", "{g}", "--kernel", "diffusion:t=-1", "--budget", "2",
+      "--ic-runs", "1000000000000000"], "(1000000000000000, 5)"),
+    (["tune", "--graph", "{g}", "--kernel", "spline", "--eps-grid", "1e-16:1:1000000000000000", "--folds", "2"],
+     "(1000000000000000,)"),
+], ids=["gen-nodes", "compare-ic-runs", "tune-grid"])
+def test_an_impossible_allocation_is_one_error_line(tmp_path, capsys, argv, shape):
+    # Petabytes: no machine grants them, so the allocation fails at once.
+    graph = _path5(tmp_path)
+    out = tmp_path / "out.file"
+    assert main([a.format(g=graph) for a in argv] + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"kernelim: error: out of memory: Unable to allocate .* for an array with shape "
+                        + re.escape(shape) + r" and data type \w+\n", err)
+    assert not out.exists()
+
+
 def test_select_svg_without_positions_writes_nothing(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(kernelim.cli, "eigendecompose", lambda *a: calls.append("eigendecompose"))
